@@ -4,9 +4,13 @@ The search engine is the classic contraction scheme: grow an alternating
 tree from an exposed vertex, shrink odd cycles onto their base, stop when an
 augmenting path appears or the tree becomes Hungarian.  Contracted blossoms
 are tracked with a union-find structure so one search costs about O(m)
-rather than O(n) per contraction.  Exposed vertices are scanned in ascending
-order and adjacency lists are sorted, so results are deterministic.  The
-outer labelling of the final (failed) search is exposed through
+rather than O(n) per contraction.  Each pass over the exposed vertices
+(maximization, :func:`augment`, :func:`outer_vertices`) allocates one search
+state and reuses it for every root: an augmentation resets only the vertices
+the search touched, and a failed (Hungarian) tree is retired for the rest of
+the pass.  Exposed vertices are scanned in ascending order and adjacency
+lists are sorted, so results are deterministic.  The outer labelling of one
+multi-source search from every exposed vertex is exposed through
 :func:`outer_vertices` for the structure decomposition.
 """
 
@@ -15,11 +19,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from .errors import InternalInvariantError
 from .graph import Graph
 
 _UNLABELED = 0
 _OUTER = 1
 _INNER = 2
+_RETIRED = 3
 
 
 class Matching:
@@ -105,23 +111,33 @@ class AugmentingPath:
             raise ValueError("augmenting path must be simple")
 
 
-class _Search:
-    """One alternating-forest search over a fixed mate table.
+class _TreesCrossed(InternalInvariantError):
+    """Two alternating trees met, so an augmenting path joins their roots."""
 
-    Blossom bases are merged in a union-find whose representative is forced
-    to the blossom base, so base lookups stay near O(1) amortized.
+
+class _Search:
+    """Alternating-tree search state, allocated once per pass.
+
+    Each search records the vertices it labels, so :meth:`reset` and
+    :meth:`retire` cost only the size of its tree.  Blossom bases are merged
+    in a union-find whose representative is forced to the blossom base, so
+    base lookups stay near O(1) amortized.
     """
 
-    __slots__ = ("adj", "mate", "n", "parent", "label", "p", "queue")
+    __slots__ = ("adj", "mate", "parent", "label", "p", "queue", "touched",
+                 "mark", "stamp")
 
     def __init__(self, adj, mate):
+        n = len(adj)
         self.adj = adj
         self.mate = mate
-        self.n = len(adj)
-        self.parent = list(range(self.n))
-        self.label = [_UNLABELED] * self.n
-        self.p = [-1] * self.n
+        self.parent = list(range(n))
+        self.label = [_UNLABELED] * n
+        self.p = [-1] * n
         self.queue = deque()
+        self.touched = []
+        self.mark = [0] * n
+        self.stamp = 0
 
     def find(self, x):
         parent = self.parent
@@ -133,21 +149,22 @@ class _Search:
         return root
 
     def _lowest_common_base(self, a, b):
-        mate, p = self.mate, self.p
-        seen = set()
-        a = self.find(a)
+        mate, p, mark, find = self.mate, self.p, self.mark, self.find
+        self.stamp += 1
+        stamp = self.stamp
+        a = find(a)
         while True:
-            seen.add(a)
+            mark[a] = stamp
             if mate[a] == -1:
                 break
-            a = self.find(p[mate[a]])
-        b = self.find(b)
-        while b not in seen:
+            a = find(p[mate[a]])
+        b = find(b)
+        while mark[b] != stamp:
             if mate[b] == -1:
-                raise RuntimeError(
+                raise _TreesCrossed(
                     "alternating trees crossed; matching is not maximum"
                 )
-            b = self.find(p[mate[b]])
+            b = find(p[mate[b]])
         return b
 
     def _mark_side(self, v, b, child, merge):
@@ -175,36 +192,58 @@ class _Search:
         for x in merge:
             parent[self.find(x)] = b
 
-    def run(self, roots, stop_on_augment):
+    def run(self, roots):
         """Grow trees from the given exposed roots.
 
-        Returns the far end of an augmenting path when one is found and
-        stop_on_augment is set, else None after the forest is exhausted.
+        Returns the far end of an augmenting path as soon as one is found,
+        else None after the forest is exhausted.  Labels stay in place until
+        :meth:`reset` or :meth:`retire`.
         """
         mate, label, p = self.mate, self.label, self.p
+        queue, touched, find = self.queue, self.touched, self.find
         for r in roots:
             label[r] = _OUTER
-            self.queue.append(r)
-        queue = self.queue
+            touched.append(r)
+            queue.append(r)
         while queue:
             v = queue.popleft()
             for to in self.adj[v]:
-                if mate[v] == to or self.find(v) == self.find(to):
-                    continue
-                if label[to] == _OUTER:
-                    self._contract(v, to)
-                elif label[to] == _UNLABELED:
+                lt = label[to]
+                if lt == _UNLABELED:
                     p[to] = v
-                    if mate[to] == -1:
-                        if stop_on_augment:
-                            return to
-                        raise RuntimeError(
-                            "augmenting path found; matching is not maximum"
-                        )
+                    touched.append(to)
+                    w = mate[to]
+                    if w == -1:
+                        queue.clear()
+                        return to
                     label[to] = _INNER
-                    label[mate[to]] = _OUTER
-                    queue.append(mate[to])
+                    label[w] = _OUTER
+                    touched.append(w)
+                    queue.append(w)
+                # inner and retired vertices are skipped
+                elif lt == _OUTER and mate[v] != to and find(v) != find(to):
+                    self._contract(v, to)
         return None
+
+    def reset(self):
+        """Return the vertices of the last search to their unlabeled state."""
+        label, parent, p = self.label, self.parent, self.p
+        for v in self.touched:
+            label[v] = _UNLABELED
+            parent[v] = v
+            p[v] = -1
+        self.touched.clear()
+
+    def retire(self):
+        """Drop the last (failed) search's tree for the rest of the pass.
+
+        A Hungarian tree lies on no later augmenting path (Edmonds 1965), so
+        the scan may skip its vertices from now on.
+        """
+        label = self.label
+        for v in self.touched:
+            label[v] = _RETIRED
+        self.touched.clear()
 
 
 def _path_vertices(mate, p, end):
@@ -230,32 +269,35 @@ def _flip(mate, path):
 
 
 def _maximize(adj, mate):
-    """Augment from every exposed vertex, ascending, until none succeeds."""
-    for root in range(len(adj)):
-        if mate[root] != -1:
-            continue
-        search = _Search(adj, mate)
-        end = search.run([root], stop_on_augment=True)
-        if end is not None:
-            _flip(mate, _path_vertices(mate, search.p, end))
+    """Grow mate to maximum cardinality; covered vertices stay covered.
 
-
-def maximum_matching(g: Graph) -> Matching:
-    """A maximum-cardinality matching, computed deterministically.
-
-    A greedy seed pass matches each vertex to its lowest free neighbour; the
-    remaining exposed vertices are then processed by tree search.
+    A greedy seed pass matches each exposed vertex to its lowest exposed
+    neighbour; then one tree search runs from every still-exposed vertex,
+    ascending, with one search state for the whole pass.
     """
-    mate = [-1] * g.n
-    adj = g.adjacency
-    for u in range(g.n):
+    for u in range(len(adj)):
         if mate[u] == -1:
             for v in adj[u]:
                 if mate[v] == -1:
                     mate[u] = v
                     mate[v] = u
                     break
-    _maximize(adj, mate)
+    search = _Search(adj, mate)
+    for root in range(len(adj)):
+        if mate[root] != -1:
+            continue
+        end = search.run((root,))
+        if end is None:
+            search.retire()
+        else:
+            _flip(mate, _path_vertices(mate, search.p, end))
+            search.reset()
+
+
+def maximum_matching(g: Graph) -> Matching:
+    """A maximum-cardinality matching, computed deterministically."""
+    mate = [-1] * g.n
+    _maximize(g.adjacency, mate)
     return Matching(mate)
 
 
@@ -264,15 +306,16 @@ def augment(g: Graph, m: Matching) -> AugmentingPath | None:
     if not m.is_valid_on(g):
         raise ValueError("matching is not valid on this graph")
     mate = list(m.mates)
+    search = _Search(g.adjacency, mate)
     for root in range(g.n):
         if mate[root] != -1:
             continue
-        search = _Search(g.adjacency, mate)
-        end = search.run([root], stop_on_augment=True)
+        end = search.run((root,))
         if end is not None:
             seq = _path_vertices(mate, search.p, end)
             seq.reverse()
             return AugmentingPath(tuple(seq))
+        search.retire()
     return None
 
 
@@ -292,8 +335,9 @@ def apply_augmentation(m: Matching, path: AugmentingPath) -> Matching:
 def maximum_matching_covering(g: Graph, m0: Matching) -> Matching:
     """A maximum matching whose covered set contains V(m0).
 
-    Repeated augmentation never uncovers a covered vertex, so growing m0 to
-    maximum cardinality preserves its coverage.
+    The greedy seed only pairs two exposed vertices and augmentation never
+    uncovers a covered vertex, so growing m0 to maximum cardinality
+    preserves its coverage.
     """
     if not m0.is_valid_on(g):
         raise ValueError("matching is not valid on this graph")
@@ -305,12 +349,22 @@ def maximum_matching_covering(g: Graph, m0: Matching) -> Matching:
 def outer_vertices(g: Graph, m: Matching) -> frozenset[int]:
     """Vertices reachable from an exposed vertex by an even alternating path.
 
-    Blossom interiors count as reachable.  Requires m to be maximum; the
-    multi-source search assumes no augmenting path exists and raises if one
-    turns up.
+    Blossom interiors count as reachable.  One multi-source search grows a
+    tree from every exposed vertex; two trees meeting means an augmenting
+    path exists, and m is rejected with ValueError as not maximum.
     """
     mate = list(m.mates)
     search = _Search(g.adjacency, mate)
     roots = [v for v in range(g.n) if mate[v] == -1]
-    search.run(roots, stop_on_augment=False)
+    try:
+        end = search.run(roots)
+    except _TreesCrossed as exc:
+        raise ValueError(
+            "matching is not maximum: the alternating trees of two exposed "
+            "vertices meet"
+        ) from exc
+    if end is not None:
+        raise InternalInvariantError(
+            f"exposed vertex {end} left out of the multi-source search"
+        )
     return frozenset(v for v in range(g.n) if search.label[v] == _OUTER)

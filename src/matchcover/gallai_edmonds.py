@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blossom import Matching, augment, maximum_matching, outer_vertices
+# augment is no longer called here; solvebench's tracing test still reads
+# this module's binding of it, so the import stays.
+from .blossom import Matching, augment, maximum_matching, outer_vertices  # noqa: F401
 from .graph import Graph, components, induced_subgraph, neighbor_set
 
 
@@ -31,12 +33,11 @@ def decompose(g: Graph, m: Matching) -> GallaiEdmonds:
     """Decompose g using a maximum matching m.
 
     D is read off the final alternating forest as the outer-labelled
-    vertices (blossom interiors included); rejects m if it is not maximum.
+    vertices (blossom interiors included).  The same multi-source search
+    rejects m if it is not maximum: two of its trees meet.
     """
     if not m.is_valid_on(g):
         raise ValueError("matching is not valid on this graph")
-    if augment(g, m) is not None:
-        raise ValueError("matching is not maximum: an augmenting path exists")
     d = outer_vertices(g, m)
     a = neighbor_set(g, d)
     c = frozenset(range(g.n)) - d - a

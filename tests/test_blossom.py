@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from matchcover import (
@@ -11,9 +13,16 @@ from matchcover import (
     maximum_matching_covering,
     random_connected_graph,
 )
+from matchcover import blossom
 from matchcover.oracle import OracleBudget
 
-from conftest import complete_graph, cycle_graph, path_graph, petersen_graph
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    petersen_graph,
+    star_graph,
+)
 
 BUDGET = OracleBudget(max_vertices=12, max_edges=66)
 
@@ -130,3 +139,93 @@ def test_maximum_matching_on_disconnected_and_empty():
     assert len(maximum_matching(Graph.from_edges(0, []))) == 0
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     assert len(maximum_matching(g)) == 2
+
+
+def spider(legs):
+    """A center (vertex 0) with one path of each given length hanging off it."""
+    edges, n = [], 1
+    for length in legs:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+    return Graph.from_edges(n, edges)
+
+
+def cycles_on_path(cycle_lengths):
+    """A path with one odd cycle hanging off each of its vertices."""
+    k = len(cycle_lengths)
+    edges, n = [(i, i + 1) for i in range(k - 1)], k
+    for i, length in enumerate(cycle_lengths):
+        ring = [i] + list(range(n, n + length - 1))
+        edges += [(ring[j], ring[(j + 1) % length]) for j in range(length)]
+        n += length - 1
+    return Graph.from_edges(n, edges)
+
+
+def relabeled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def hungarian_family():
+    """Graphs whose searches mostly end in failed (Hungarian) trees."""
+    base = [star_graph(k) for k in (2, 3, 6, 11)]
+    base += [spider(legs) for legs in ((1, 1, 1), (1, 3, 5), (3, 3, 3),
+                                       (1, 1, 3, 5), (5, 5), (1, 1, 1, 1, 3))]
+    base += [cycles_on_path(lens) for lens in ((3,), (3, 3), (3, 5), (5, 3),
+                                               (3, 3, 3), (3, 3, 3, 3), (5, 5))]
+    rng = random.Random(7)
+    for g in base:
+        yield g
+        for _ in range(3):
+            yield relabeled(g, rng)
+
+
+def test_hungarian_trees_nu_matches_oracle():
+    """Retired trees must not hide an augmenting path: many exposed roots
+    fail on stars, odd-legged spiders and odd cycles hanging off a path."""
+    for g in hungarian_family():
+        nu = brute_nu(g, BUDGET)
+        m = maximum_matching(g)
+        assert m.is_valid_on(g) and len(m) == nu
+        assert augment(g, m) is None
+        # one-edge seeds leave most vertices exposed, so the greedy seed fires
+        for e in g.edges:
+            seed_m = Matching.from_edges(g, [e])
+            grown = maximum_matching_covering(g, seed_m)
+            assert len(grown) == nu and grown.covers(e)
+
+
+def test_augment_finds_path_after_retired_trees():
+    """Roots 2 and 3 grow Hungarian trees before root 4 finds the path 4-5."""
+    g = spider((1, 1, 1, 2))
+    assert augment(g, Matching.from_edges(g, [(0, 1)])).vertices == (4, 5)
+
+
+def test_one_search_state_per_pass(monkeypatch):
+    """Each pass allocates its search arrays once, however many roots it
+    grows trees from; per-root allocation is quadratic on sparse graphs."""
+    built = []
+
+    class Counting(blossom._Search):
+        __slots__ = ()
+
+        def __init__(self, adj, mate):
+            built.append(len(adj))
+            super().__init__(adj, mate)
+
+    g = spider((1, 1, 1, 2, 1, 1))
+    m = maximum_matching(g)
+    monkeypatch.setattr(blossom, "_Search", Counting)
+    for run in (
+        lambda: maximum_matching(g),
+        lambda: maximum_matching_covering(g, Matching.from_edges(g, [(0, 4)])),
+        lambda: augment(g, m),
+        lambda: augment(g, Matching.from_edges(g, [(0, 1)])),
+        lambda: blossom.outer_vertices(g, m),
+    ):
+        built.clear()
+        run()
+        assert built == [g.n]

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from matchcover import blossom
 from matchcover.cli import (
+    EXIT_INTERNAL,
     EXIT_MISMATCH,
     EXIT_NO_COVER,
     EXIT_OK,
@@ -41,6 +43,20 @@ def test_solve_star(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert out.splitlines() == ["mc = 3", "M1: 1-2", "M2: 1-3", "M3: 1-4"]
+
+
+def test_solve_engine_failure_exit_4(tmp_path, capsys, monkeypatch):
+    """A broken search engine is reported as an internal error, not a crash."""
+
+    def crossed(self, a, b):
+        raise blossom._TreesCrossed("alternating trees crossed")
+
+    monkeypatch.setattr(blossom._Search, "_lowest_common_base", crossed)
+    code = main(["solve", write(tmp_path, "c3.g", C3)])
+    err = capsys.readouterr().err
+    assert code == EXIT_INTERNAL
+    assert err.startswith("internal error: ")
+    assert "Traceback" not in err
 
 
 def test_solve_json(tmp_path, capsys):

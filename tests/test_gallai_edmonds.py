@@ -54,6 +54,22 @@ def test_decompose_rejects_non_maximum():
         decompose(g, Matching.from_edges(g, [(1, 2)]))
 
 
+def test_decompose_rejects_random_non_maximum():
+    """Dropping any one edge of a maximum matching leaves an augmenting path;
+    the multi-source search of the decomposition must reject the matching."""
+    count = 0
+    for n in range(2, 11):
+        for seed in range(23):
+            g = random_connected_graph(n, p=0.4, seed=seed)
+            edges = maximum_matching(g).edges()
+            drop = seed % len(edges)
+            short = Matching.from_edges(g, edges[:drop] + edges[drop + 1:])
+            with pytest.raises(ValueError, match="not maximum"):
+                decompose(g, short)
+            count += 1
+    assert count >= 200
+
+
 def test_decompose_rejects_invalid_matching():
     g = path_graph(4)
     bad = Matching.from_edges(path_graph(5), [(0, 1)])
