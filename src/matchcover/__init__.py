@@ -7,40 +7,15 @@ bipartite graph.  A brute-force oracle provides independent ground truth on
 small instances.
 """
 
-from .blossom import (
-    AugmentingPath,
-    Matching,
-    apply_augmentation,
-    augment,
-    maximum_matching,
-    maximum_matching_covering,
-)
-from .cover import MatchingCover, SolveResult, matching_cover, solve, verify_cover
-from .dstar import (
-    GStar,
-    StarCover,
-    build_forest,
-    build_gstar,
-    effective_degree,
-    find_switching_path,
-    initial_cover,
-    optimize,
-    transform,
-)
-from .errors import InternalInvariantError
-from .gallai_edmonds import (
-    GallaiEdmonds,
-    decompose,
-    is_factor_critical,
-    verify_decomposition,
-)
+from .blossom import Matching
+from .cover import MatchingCover, SolveResult, solve, verify_cover
+from .errors import InternalInvariantError, NoCoverError
 from .generate import random_connected_graph
 from .graph import (
     Graph,
     GraphFormatError,
     components,
     induced_subgraph,
-    neighbor_set,
     parse_graph,
     serialize_graph,
 )
@@ -56,43 +31,24 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentingPath",
-    "GallaiEdmonds",
     "Graph",
     "GraphFormatError",
-    "GStar",
     "InternalInvariantError",
     "Matching",
     "MatchingCover",
+    "NoCoverError",
     "OracleBudget",
     "OracleBudgetError",
     "SolveResult",
-    "StarCover",
-    "apply_augmentation",
-    "augment",
     "brute_d_set",
     "brute_mc",
     "brute_md",
     "brute_nu",
-    "build_forest",
-    "build_gstar",
     "components",
-    "decompose",
-    "effective_degree",
-    "find_switching_path",
     "induced_subgraph",
-    "initial_cover",
-    "is_factor_critical",
-    "matching_cover",
-    "maximum_matching",
-    "maximum_matching_covering",
-    "neighbor_set",
-    "optimize",
     "parse_graph",
     "random_connected_graph",
     "serialize_graph",
     "solve",
-    "transform",
     "verify_cover",
-    "verify_decomposition",
 ]

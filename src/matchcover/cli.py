@@ -13,7 +13,7 @@ import sys
 import time
 
 from .cover import solve, verify_cover
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, NoCoverError
 from .generate import random_connected_graph
 from .graph import GraphFormatError, parse_graph, serialize_graph
 from .oracle import OracleBudget, OracleBudgetError, brute_mc
@@ -48,9 +48,6 @@ def cmd_solve(args) -> int:
     g, code = _load_graph(args.file)
     if g is None:
         return code
-    if g.n == 1:
-        print("error: no matching cover exists for a single vertex", file=sys.stderr)
-        return EXIT_NO_COVER
 
     trace = None
     if args.trace:
@@ -63,10 +60,12 @@ def cmd_solve(args) -> int:
 
     try:
         result = solve(g, trace=trace)
-    except ValueError as exc:
+    except NoCoverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_COVER
-    except InternalInvariantError as exc:
+    except (InternalInvariantError, ValueError) as exc:
+        # solve rejects bad input only with NoCoverError; any other
+        # ValueError comes from inside the solver
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
@@ -114,7 +113,7 @@ def cmd_oracle(args) -> int:
         return EXIT_NO_COVER
     try:
         got = solve(g).cover.k
-    except InternalInvariantError as exc:
+    except (InternalInvariantError, ValueError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     status = "OK" if got == expected else "MISMATCH"
@@ -138,11 +137,19 @@ def cmd_random(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print("n,m,seconds,transforms")
     for n in sizes:
         m = 3 * n
-        g = random_connected_graph(n, m=m, seed=args.seed + n)
+        try:
+            g = random_connected_graph(n, m=m, seed=args.seed + n)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         start = time.perf_counter()
         result = solve(g)
         elapsed = time.perf_counter() - start

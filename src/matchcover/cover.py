@@ -7,7 +7,7 @@ from typing import Callable
 
 from .blossom import Matching, maximum_matching, maximum_matching_covering
 from .dstar import StarCover, SwitchingPath, build_gstar, initial_cover, optimize
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, NoCoverError
 from .gallai_edmonds import GallaiEdmonds, decompose
 from .graph import Graph, components, induced_subgraph
 
@@ -32,7 +32,6 @@ class SolveResult:
     md: int | None
     transforms: int
     gstar_size: int | None
-    decomposition: GallaiEdmonds | None
 
 
 def verify_cover(g: Graph, mc: MatchingCover) -> bool:
@@ -48,11 +47,6 @@ def verify_cover(g: Graph, mc: MatchingCover) -> bool:
     return covered == set(range(g.n))
 
 
-def matching_cover(g: Graph) -> MatchingCover:
-    """An optimal matching cover of g; see :func:`solve` for run details."""
-    return solve(g).cover
-
-
 def solve(
     g: Graph, trace: Callable[[SwitchingPath, int], None] | None = None
 ) -> SolveResult:
@@ -61,19 +55,30 @@ def solve(
     Connected graphs follow the three-way branch on the decomposition;
     disconnected input is solved per component with same-level matchings
     unioned (their vertex sets are disjoint) and k the maximum over
-    components.  A single vertex admits no cover at all.
+    components.  Empty input and isolated vertices (a single vertex
+    included) admit no cover and raise :class:`NoCoverError`.
+
+    The cover is checked once, at the end, with :func:`verify_cover`;
+    components are vertex-disjoint, so a bad part cover fails that check.
     """
     if g.n == 0:
-        raise ValueError("empty graph has no matching cover")
+        raise NoCoverError("empty graph has no matching cover")
     comps = components(g)
     for comp in comps:
         if len(comp) == 1:
-            raise ValueError(
+            raise NoCoverError(
                 f"vertex {comp[0]} is isolated: no matching cover exists"
             )
     if len(comps) == 1:
-        return _solve_connected(g, trace)
+        result = _solve_connected(g, trace)
+    else:
+        result = _solve_per_component(g, comps, trace)
+    if not verify_cover(g, result.cover):
+        raise InternalInvariantError("assembled cover does not cover V(G)")
+    return result
 
+
+def _solve_per_component(g, comps, trace):
     sub_results = []
     for comp in comps:
         sub, old_ids = induced_subgraph(g, comp)
@@ -89,8 +94,6 @@ def solve(
     cover = MatchingCover(
         tuple(Matching.from_edges(g, sorted(level)) for level in levels)
     )
-    if not verify_cover(g, cover):
-        raise InternalInvariantError("combined per-component cover is invalid")
     mds = [res.md for res, _ in sub_results if res.md is not None]
     return SolveResult(
         cover=cover,
@@ -98,7 +101,6 @@ def solve(
         md=max(mds) if mds else None,
         transforms=sum(res.transforms for res, _ in sub_results),
         gstar_size=None,
-        decomposition=None,
     )
 
 
@@ -107,53 +109,42 @@ def _solve_connected(g, trace):
     ge = decompose(g, m)
     if not ge.a:
         if not ge.d:
-            result = SolveResult(
+            return SolveResult(
                 cover=MatchingCover((m,)),
                 branch="perfect",
                 md=None,
                 transforms=0,
                 gstar_size=None,
-                decomposition=ge,
             )
-        else:
-            # connected with A empty and D nonempty: factor-critical, one
-            # exposed vertex; a near-perfect matching plus any edge at the
-            # exposed vertex is optimal
-            exposed = [v for v in range(g.n) if m.mate(v) == -1]
-            if len(exposed) != 1:
-                raise InternalInvariantError(
-                    "factor-critical branch expects exactly one exposed vertex"
-                )
-            v = exposed[0]
-            w = g.adjacency[v][0]
-            extra = Matching.from_edges(g, [(min(v, w), max(v, w))])
-            result = SolveResult(
-                cover=MatchingCover((m, extra)),
-                branch="factor_critical",
-                md=None,
-                transforms=0,
-                gstar_size=None,
-                decomposition=ge,
+        # connected with A empty and D nonempty: factor-critical, one
+        # exposed vertex; a near-perfect matching plus any edge at the
+        # exposed vertex is optimal
+        exposed = [v for v in range(g.n) if m.mate(v) == -1]
+        if len(exposed) != 1:
+            raise InternalInvariantError(
+                "factor-critical branch expects exactly one exposed vertex"
             )
-    else:
-        gs = build_gstar(g, ge)
-        gs_edge_set = set(gs.edges)
-        m_star = Matching.from_edges(
-            g, [e for e in m.edges() if e in gs_edge_set]
+        v = exposed[0]
+        w = g.adjacency[v][0]
+        extra = Matching.from_edges(g, [(min(v, w), max(v, w))])
+        return SolveResult(
+            cover=MatchingCover((m, extra)),
+            branch="factor_critical",
+            md=None,
+            transforms=0,
+            gstar_size=None,
         )
-        opt = optimize(gs, initial_cover(gs, m_star), trace)
-        cover = assemble(g, ge, m, opt.cover)
-        result = SolveResult(
-            cover=cover,
-            branch="gstar",
-            md=opt.cover.max_degree(),
-            transforms=opt.transforms,
-            gstar_size=gs.size,
-            decomposition=ge,
-        )
-    if not verify_cover(g, result.cover):
-        raise InternalInvariantError("assembled cover does not cover V(G)")
-    return result
+    gs = build_gstar(g, ge)
+    # every neighbour of a D*-vertex lies in A, so m pairs each D*-vertex
+    # with an A-vertex or leaves it exposed: all that initial_cover reads
+    opt = optimize(gs, initial_cover(gs, m), trace)
+    return SolveResult(
+        cover=assemble(g, ge, m, opt.cover),
+        branch="gstar",
+        md=opt.cover.max_degree(),
+        transforms=opt.transforms,
+        gstar_size=gs.size,
+    )
 
 
 def assemble(
@@ -161,10 +152,11 @@ def assemble(
 ) -> MatchingCover:
     """Turn an optimal star cover of the derived graph into a cover of g.
 
-    Level 1 is a maximum matching of g built from one edge per star plus the
-    perfect matching on C; level 2 merges the rescue edges inside the
-    nontrivial D-components with each star's next edge; higher levels take
-    one further edge per star.
+    Level 1 is a maximum matching grown on g itself from the perfect
+    matching on C plus one edge per star; growth never uncovers a vertex,
+    so level 1 keeps covering C and every star's first edge.  Level 2
+    merges the rescue edges inside the nontrivial D-components with each
+    star's next edge; higher levels take one further edge per star.
     """
     c_set = ge.c
     m_prime = [e for e in m.edges() if e[0] in c_set and e[1] in c_set]
@@ -180,19 +172,11 @@ def assemble(
         n_edges.append((min(a, ds[0]), max(a, ds[0])))
         rest[a] = ds[1:]
 
-    keep = sorted(set(range(g.n)) - {v for e in m_prime for v in e})
-    sub, old_ids = induced_subgraph(g, keep)
-    idx = {old: new for new, old in enumerate(old_ids)}
-    seed = Matching.from_edges(sub, [(idx[u], idx[v]) for u, v in n_edges])
-    mt_sub = maximum_matching_covering(sub, seed)
-    m_tilde = [
-        (min(old_ids[u], old_ids[v]), max(old_ids[u], old_ids[v]))
-        for u, v in mt_sub.edges()
-    ]
     try:
-        m1 = Matching.from_edges(g, sorted(m_prime + m_tilde))
+        seed = Matching.from_edges(g, m_prime + n_edges)
     except ValueError as exc:
         raise InternalInvariantError(f"level-1 matching is inconsistent: {exc}")
+    m1 = maximum_matching_covering(g, seed)
     if len(m1) != len(m):
         raise InternalInvariantError("level-1 matching is not maximum")
 

@@ -55,7 +55,6 @@ class GStar:
             v: tuple(sorted(nb)) for v, nb in adj.items()
         }
         self._a_set = frozenset(a_set)
-        self._d_set = frozenset(d_set)
 
     @property
     def size(self) -> int:
@@ -63,9 +62,6 @@ class GStar:
 
     def is_a_vertex(self, v: int) -> bool:
         return v in self._a_set
-
-    def is_d_vertex(self, v: int) -> bool:
-        return v in self._d_set
 
 
 def build_gstar(g: Graph, ge: GallaiEdmonds) -> GStar:
@@ -116,21 +112,16 @@ class StarCover:
         return sorted((min(d, a), max(d, a)) for d, a in self.center.items())
 
 
-def effective_degree(sc: StarCover, v: int) -> int:
-    """Star size at center v; 0 when v is uncovered."""
-    return sc.effective_degree(v)
+def initial_cover(gs: GStar, m: Matching) -> StarCover:
+    """Seed cover from a maximum matching m of the host graph.
 
-
-def initial_cover(gs: GStar, m_star: Matching) -> StarCover:
-    """Seed cover from a maximum matching restricted to the derived graph.
-
-    D-vertices left exposed by the restriction are assigned to their
-    lowest-indexed A-neighbour.
+    Each D-vertex matched by m keeps its mate, which must be an A-vertex;
+    exposed D-vertices go to their lowest-indexed A-neighbour.
     """
     a_set = set(gs.a_vertices)
     center: dict[int, int] = {}
     for d in gs.d_vertices:
-        mate = m_star.mate(d)
+        mate = m.mate(d)
         if mate != -1:
             if mate not in a_set:
                 raise ValueError(f"D-vertex {d} is matched outside the A side")

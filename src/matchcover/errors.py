@@ -1,2 +1,6 @@
 class InternalInvariantError(RuntimeError):
     """A solver invariant was violated; the produced state cannot be trusted."""
+
+
+class NoCoverError(ValueError):
+    """The input admits no matching cover: it is empty or has an isolated vertex."""

@@ -17,15 +17,17 @@ from matchcover import (
     brute_d_set,
     brute_mc,
     brute_md,
-    build_gstar,
     components,
-    decompose,
     induced_subgraph,
-    is_factor_critical,
-    maximum_matching,
     random_connected_graph,
     solve,
     verify_cover,
+)
+from matchcover.blossom import maximum_matching
+from matchcover.dstar import build_gstar
+from matchcover.gallai_edmonds import (
+    decompose,
+    is_factor_critical,
     verify_decomposition,
 )
 from matchcover.cli import main

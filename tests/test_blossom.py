@@ -2,17 +2,14 @@ import random
 
 import pytest
 
-from matchcover import (
-    Graph,
-    Matching,
+from matchcover import Graph, Matching, brute_nu, random_connected_graph
+from matchcover.blossom import (
     apply_augmentation,
     augment,
-    brute_nu,
-    is_factor_critical,
     maximum_matching,
     maximum_matching_covering,
-    random_connected_graph,
 )
+from matchcover.gallai_edmonds import is_factor_critical
 from matchcover import blossom
 from matchcover.oracle import OracleBudget
 

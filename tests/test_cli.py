@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import matchcover.cover
 from matchcover import blossom
 from matchcover.cli import (
     EXIT_INTERNAL,
@@ -45,18 +46,29 @@ def test_solve_star(tmp_path, capsys):
     assert out.splitlines() == ["mc = 3", "M1: 1-2", "M2: 1-3", "M3: 1-4"]
 
 
+def _crossed_trees(self, a, b):
+    raise blossom._TreesCrossed("alternating trees crossed")
+
+
+def _bad_switch(*args, **kwargs):
+    raise ValueError("switching path does not alternate")
+
+
 def test_solve_engine_failure_exit_4(tmp_path, capsys, monkeypatch):
-    """A broken search engine is reported as an internal error, not a crash."""
-
-    def crossed(self, a, b):
-        raise blossom._TreesCrossed("alternating trees crossed")
-
-    monkeypatch.setattr(blossom._Search, "_lowest_common_base", crossed)
-    code = main(["solve", write(tmp_path, "c3.g", C3)])
-    err = capsys.readouterr().err
-    assert code == EXIT_INTERNAL
-    assert err.startswith("internal error: ")
-    assert "Traceback" not in err
+    """A broken search engine or balancing step is reported as an internal
+    error, not as "no cover" and not as a crash."""
+    cases = [
+        (blossom._Search, "_lowest_common_base", _crossed_trees, C3),
+        (matchcover.cover, "optimize", _bad_switch, P3),
+    ]
+    for target, name, broken, text in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(target, name, broken)
+            code = main(["solve", write(tmp_path, "g.g", text)])
+        err = capsys.readouterr().err
+        assert code == EXIT_INTERNAL
+        assert err.startswith("internal error: ")
+        assert "Traceback" not in err
 
 
 def test_solve_json(tmp_path, capsys):
@@ -116,6 +128,16 @@ def test_oracle_agreement(tmp_path, capsys):
     assert EXIT_MISMATCH == 1
 
 
+def test_oracle_engine_failure_exit_4(tmp_path, capsys, monkeypatch):
+    """The oracle has already ruled out "no cover", so a ValueError from the
+    pipeline is an internal error."""
+    monkeypatch.setattr(matchcover.cover, "optimize", _bad_switch)
+    code = main(["oracle", write(tmp_path, "p3.g", P3)])
+    err = capsys.readouterr().err
+    assert code == EXIT_INTERNAL
+    assert err.startswith("internal error: ")
+
+
 def test_oracle_budget_exit_5(tmp_path, capsys):
     big = "p 20 19\n" + "".join(f"e {i} {i + 1}\n" for i in range(1, 20))
     code = main(["oracle", write(tmp_path, "big.g", big)])
@@ -160,3 +182,12 @@ def test_bench_empty(capsys):
     out = capsys.readouterr().out.splitlines()
     assert code == EXIT_OK
     assert out == ["n,m,seconds,transforms"]
+
+
+@pytest.mark.parametrize("sizes", ["1", "x"])
+def test_bench_bad_sizes_exit_2(capsys, sizes):
+    code = main(["bench", "--sizes", sizes, "--seed", "0"])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

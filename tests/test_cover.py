@@ -1,17 +1,19 @@
 import pytest
 
+import matchcover.cover
 from matchcover import (
     Graph,
+    InternalInvariantError,
     Matching,
     MatchingCover,
+    NoCoverError,
     brute_mc,
-    decompose,
-    matching_cover,
-    maximum_matching,
     random_connected_graph,
     solve,
     verify_cover,
 )
+from matchcover.blossom import maximum_matching
+from matchcover.gallai_edmonds import decompose
 from matchcover.oracle import OracleBudget
 
 from conftest import cycle_graph, path_graph, star_graph
@@ -21,7 +23,7 @@ BUDGET = OracleBudget(max_vertices=12, max_edges=66)
 
 def test_p4_perfect():
     g = path_graph(4)
-    cover = matching_cover(g)
+    cover = solve(g).cover
     assert cover.k == 1
     assert set(cover.matchings[0].edges()) == {(0, 1), (2, 3)}
 
@@ -71,12 +73,15 @@ def test_verify_cover_rejects_foreign_matching():
 
 
 def test_single_vertex_errors():
-    with pytest.raises(ValueError, match="no matching cover"):
+    with pytest.raises(ValueError, match="no matching cover") as info:
         solve(Graph.from_edges(1, []))
-    with pytest.raises(ValueError, match="isolated"):
+    assert info.type is NoCoverError
+    with pytest.raises(ValueError, match="isolated") as info:
         solve(Graph.from_edges(3, [(0, 1)]))
-    with pytest.raises(ValueError, match="empty graph"):
+    assert info.type is NoCoverError
+    with pytest.raises(ValueError, match="empty graph") as info:
         solve(Graph.from_edges(0, []))
+    assert info.type is NoCoverError
 
 
 def test_disconnected_components_combined():
@@ -113,11 +118,36 @@ def test_branch_facts_consistent():
 
 
 def test_level_one_is_maximum_matching():
-    """The first matching of a derived-graph-branch cover has maximum size."""
+    """The first matching of a derived-graph-branch cover has maximum size
+    and, like every maximum matching, covers A and C."""
     for seed in range(60):
         g = random_connected_graph(9, p=0.3, seed=seed)
         res = solve(g)
         assert len(res.cover.matchings[0]) == len(maximum_matching(g))
+        ge = decompose(g, maximum_matching(g))
+        assert res.cover.matchings[0].covers(ge.c | ge.a)
+
+
+@pytest.mark.parametrize(
+    "g,branch",
+    [
+        (star_graph(3), "gstar"),
+        (Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]), "per_component"),
+    ],
+    ids=["star", "p3_plus_k2"],
+)
+def test_final_check_catches_bad_part_cover(g, branch, monkeypatch):
+    """One check at the end of solve rejects a part cover that misses a
+    vertex, on the connected and on the per-component path alike."""
+    assert solve(g).branch == branch
+    real = matchcover.cover.assemble
+
+    def drop_last_level(*args):
+        return MatchingCover(real(*args).matchings[:-1])
+
+    monkeypatch.setattr(matchcover.cover, "assemble", drop_last_level)
+    with pytest.raises(InternalInvariantError, match="does not cover"):
+        solve(g)
 
 
 def test_random_against_oracle():

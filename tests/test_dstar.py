@@ -1,22 +1,19 @@
 import pytest
 
-from matchcover import (
+from matchcover import Matching, brute_md, random_connected_graph
+from matchcover.blossom import maximum_matching
+from matchcover.dstar import (
     GStar,
-    Matching,
     StarCover,
-    brute_md,
+    SwitchingPath,
     build_forest,
     build_gstar,
-    decompose,
-    effective_degree,
     find_switching_path,
     initial_cover,
-    maximum_matching,
     optimize,
-    random_connected_graph,
     transform,
 )
-from matchcover.dstar import SwitchingPath
+from matchcover.gallai_edmonds import decompose
 from matchcover.oracle import OracleBudget
 
 from conftest import path_graph, star_graph
@@ -90,16 +87,16 @@ def test_initial_cover_two_disjoint_edges():
 def test_effective_degree():
     gs = GStar([1, 3], [0, 2], [(0, 1), (1, 2), (2, 3)])
     sc = StarCover(gs, {0: 1, 2: 1})
-    assert effective_degree(sc, 1) == 2
-    assert effective_degree(sc, 3) == 0
+    assert sc.effective_degree(1) == 2
+    assert sc.effective_degree(3) == 0
     with pytest.raises(ValueError, match="not an A-vertex"):
-        effective_degree(sc, 0)
+        sc.effective_degree(0)
 
 
 def test_single_edge_star_degree():
     gs = GStar([0], [1], [(0, 1)])
     sc = StarCover(gs, {1: 0})
-    assert effective_degree(sc, 0) == 1
+    assert sc.effective_degree(0) == 1
 
 
 # A small instance used repeatedly below: center u=0 carries d-vertices

@@ -1,14 +1,16 @@
 import pytest
 
 from matchcover import (
-    GallaiEdmonds,
     Matching,
     brute_d_set,
-    decompose,
     induced_subgraph,
-    is_factor_critical,
-    maximum_matching,
     random_connected_graph,
+)
+from matchcover.blossom import maximum_matching
+from matchcover.gallai_edmonds import (
+    GallaiEdmonds,
+    decompose,
+    is_factor_critical,
     verify_decomposition,
 )
 from matchcover.oracle import OracleBudget

@@ -5,11 +5,11 @@ from matchcover import (
     GraphFormatError,
     components,
     induced_subgraph,
-    neighbor_set,
     parse_graph,
     random_connected_graph,
     serialize_graph,
 )
+from matchcover.graph import neighbor_set
 
 from conftest import cycle_graph, path_graph
 

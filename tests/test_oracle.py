@@ -1,13 +1,7 @@
 import pytest
 
-from matchcover import (
-    GStar,
-    Graph,
-    brute_d_set,
-    brute_mc,
-    brute_md,
-    brute_nu,
-)
+from matchcover import Graph, brute_d_set, brute_mc, brute_md, brute_nu
+from matchcover.dstar import GStar
 from matchcover.oracle import OracleBudget, OracleBudgetError
 
 from conftest import cycle_graph, path_graph, petersen_graph, star_graph
