@@ -81,7 +81,9 @@ class Matching:
         for v, w in enumerate(self._mate):
             if w == -1:
                 continue
-            if not (0 <= w < g.n) or self._mate[w] != v or not g.has_edge(v, w):
+            if not (0 <= w < g.n) or self._mate[w] != v:
+                return False
+            if v < w and not g.has_edge(v, w):
                 return False
         return True
 

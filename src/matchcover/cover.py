@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .blossom import Matching, maximum_matching, maximum_matching_covering
-from .dstar import StarCover, SwitchingPath, build_gstar, initial_cover, optimize
+from .dstar import SwitchingPath, build_gstar, initial_cover, optimize
 from .errors import InternalInvariantError, NoCoverError
 from .gallai_edmonds import GallaiEdmonds, decompose
 from .graph import Graph, components, induced_subgraph
@@ -39,12 +39,14 @@ def verify_cover(g: Graph, mc: MatchingCover) -> bool:
 
     Optimality is not checked here; that is the oracle's job.
     """
-    covered: set[int] = set()
+    covered = [False] * g.n
     for m in mc.matchings:
         if not m.is_valid_on(g):
             return False
-        covered.update(m.vertices())
-    return covered == set(range(g.n))
+        for v, w in enumerate(m.mates):
+            if w != -1:
+                covered[v] = True
+    return all(covered)
 
 
 def solve(
@@ -52,7 +54,9 @@ def solve(
 ) -> SolveResult:
     """Compute an optimal matching cover together with run statistics.
 
-    Connected graphs follow the three-way branch on the decomposition;
+    Connected graphs follow the theorem's two cases: a perfect matching is
+    the whole cover, and every other graph is assembled from its
+    decomposition (a factor-critical graph being the case A = ∅);
     disconnected input is solved per component with same-level matchings
     unioned (their vertex sets are disjoint) and k the maximum over
     components.  Empty input and isolated vertices (a single vertex
@@ -82,18 +86,14 @@ def _solve_per_component(g, comps, trace):
     sub_results = []
     for comp in comps:
         sub, old_ids = induced_subgraph(g, comp)
-        res = _solve_connected(sub, trace)
+        res = _solve_connected(sub, _to_host_ids(trace, old_ids))
         sub_results.append((res, old_ids))
     k = max(res.cover.k for res, _ in sub_results)
     levels: list[list[tuple[int, int]]] = [[] for _ in range(k)]
     for res, old_ids in sub_results:
-        for i, m in enumerate(res.cover.matchings):
-            levels[i].extend(
-                (old_ids[u], old_ids[v]) for u, v in m.edges()
-            )
-    cover = MatchingCover(
-        tuple(Matching.from_edges(g, sorted(level)) for level in levels)
-    )
+        for level, m in zip(levels, res.cover.matchings):
+            level.extend((old_ids[u], old_ids[v]) for u, v in m.edges())
+    cover = MatchingCover(tuple(Matching.from_edges(g, lv) for lv in levels))
     mds = [res.md for res, _ in sub_results if res.md is not None]
     return SolveResult(
         cover=cover,
@@ -104,31 +104,30 @@ def _solve_per_component(g, comps, trace):
     )
 
 
+def _to_host_ids(trace, old_ids):
+    """Wrap ``trace`` so paths found in a component reach it in host ids."""
+    if trace is None:
+        return None
+    return lambda path, delta: trace(
+        SwitchingPath(tuple(old_ids[v] for v in path.vertices)), delta
+    )
+
+
 def _solve_connected(g, trace):
     m = maximum_matching(g)
     ge = decompose(g, m)
-    if not ge.a:
-        if not ge.d:
-            return SolveResult(
-                cover=MatchingCover((m,)),
-                branch="perfect",
-                md=None,
-                transforms=0,
-                gstar_size=None,
-            )
-        # connected with A empty and D nonempty: factor-critical, one
-        # exposed vertex; a near-perfect matching plus any edge at the
-        # exposed vertex is optimal
-        exposed = [v for v in range(g.n) if m.mate(v) == -1]
-        if len(exposed) != 1:
-            raise InternalInvariantError(
-                "factor-critical branch expects exactly one exposed vertex"
-            )
-        v = exposed[0]
-        w = g.adjacency[v][0]
-        extra = Matching.from_edges(g, [(min(v, w), max(v, w))])
+    if not ge.d:
         return SolveResult(
-            cover=MatchingCover((m, extra)),
+            cover=MatchingCover((m,)),
+            branch="perfect",
+            md=None,
+            transforms=0,
+            gstar_size=None,
+        )
+    if not ge.a:
+        # factor-critical: the A-empty case of the theorem, with no stars
+        return SolveResult(
+            cover=assemble(g, ge, m, {}),
             branch="factor_critical",
             md=None,
             transforms=0,
@@ -139,7 +138,7 @@ def _solve_connected(g, trace):
     # with an A-vertex or leaves it exposed: all that initial_cover reads
     opt = optimize(gs, initial_cover(gs, m), trace)
     return SolveResult(
-        cover=assemble(g, ge, m, opt.cover),
+        cover=assemble(g, ge, m, opt.cover.stars),
         branch="gstar",
         md=opt.cover.max_degree(),
         transforms=opt.transforms,
@@ -148,65 +147,55 @@ def _solve_connected(g, trace):
 
 
 def assemble(
-    g: Graph, ge: GallaiEdmonds, m: Matching, sc_final: StarCover
+    g: Graph, ge: GallaiEdmonds, m: Matching, stars: dict[int, list[int]]
 ) -> MatchingCover:
-    """Turn an optimal star cover of the derived graph into a cover of g.
+    """Turn a star cover of D* (center -> sorted D*-vertices) into a cover of g.
 
-    Level 1 is a maximum matching grown on g itself from the perfect
-    matching on C plus one edge per star; growth never uncovers a vertex,
-    so level 1 keeps covering C and every star's first edge.  Level 2
-    merges the rescue edges inside the nontrivial D-components with each
-    star's next edge; higher levels take one further edge per star.
+    D is nonempty, so g has no perfect matching and k = max(2, md), md being
+    the largest star size (0 without stars, as for a factor-critical g).
+    Level 1 is a maximum matching grown on g itself from the edges of m with
+    no end in A plus each star's first edge; these are vertex-disjoint, since
+    a D*-vertex has only A-neighbours.  Growth never uncovers a vertex, so
+    level 1 keeps covering C and every star's first edge.  Level 2 merges a
+    rescue edge inside its D-component for each D-vertex level 1 misses with
+    each star's next edge; higher levels take one further edge per star.
     """
-    c_set = ge.c
-    m_prime = [e for e in m.edges() if e[0] in c_set and e[1] in c_set]
-    if {v for e in m_prime for v in e} != set(c_set):
+    a_set, c_set, d_set = ge.a, ge.c, ge.d
+    if not all(m.mate(v) in c_set for v in c_set):
         raise InternalInvariantError("matching restricted to C is not perfect on C")
 
-    n_edges: list[tuple[int, int]] = []
-    rest: dict[int, list[int]] = {}
-    for a in sorted(sc_final.stars):
-        ds = sc_final.stars[a]
-        if not ds:
-            continue
-        n_edges.append((min(a, ds[0]), max(a, ds[0])))
-        rest[a] = ds[1:]
-
+    seed_edges = [e for e in m.edges() if a_set.isdisjoint(e)]
+    seed_edges += [(a, ds[0]) for a, ds in stars.items()]
     try:
-        seed = Matching.from_edges(g, m_prime + n_edges)
+        seed = Matching.from_edges(g, seed_edges)
     except ValueError as exc:
         raise InternalInvariantError(f"level-1 matching is inconsistent: {exc}")
     m1 = maximum_matching_covering(g, seed)
     if len(m1) != len(m):
         raise InternalInvariantError("level-1 matching is not maximum")
 
-    covered = m1.vertices() | {v for d, a in sc_final.center.items() for v in (d, a)}
-    d_set = ge.d
+    covered = m1.vertices() | {v for a, ds in stars.items() for v in (a, *ds)}
     rescue: list[tuple[int, int]] = []
-    for w in sorted(d_set):
-        if w not in covered:
-            inside = [x for x in g.adjacency[w] if x in d_set]
-            if not inside:
-                raise InternalInvariantError(
-                    f"uncovered vertex {w} has no edge inside its D-component"
-                )
-            x = inside[0]
-            rescue.append((min(w, x), max(w, x)))
+    for w in sorted(d_set - covered):
+        x = next((x for x in g.adjacency[w] if x in d_set), None)
+        if x is None:
+            raise InternalInvariantError(
+                f"uncovered vertex {w} has no edge inside its D-component"
+            )
+        rescue.append((w, x))
 
-    k = max(2, sc_final.max_degree())
-    levels: list[list[tuple[int, int]]] = [[] for _ in range(k - 1)]
-    for a in sorted(rest):
-        for j, d in enumerate(rest[a]):
-            levels[j].append((min(a, d), max(a, d)))
-    levels[0] = sorted(levels[0] + rescue)
+    k = max(2, max(map(len, stars.values()), default=0))
+    levels = [rescue] + [[] for _ in range(k - 2)]
+    for a, ds in stars.items():
+        for level, d in zip(levels, ds[1:]):
+            level.append((a, d))
 
     matchings = [m1]
     for level in levels:
         try:
-            matchings.append(Matching.from_edges(g, sorted(level)))
+            matchings.append(Matching.from_edges(g, level))
         except ValueError as exc:
             raise InternalInvariantError(f"level matching is inconsistent: {exc}")
-    for mm in matchings:
-        if len(mm) == 0:
-            raise InternalInvariantError("assembled cover contains an empty matching")
+    if any(len(mm) == 0 for mm in matchings):
+        raise InternalInvariantError("assembled cover contains an empty matching")
     return MatchingCover(tuple(matchings))

@@ -1,7 +1,7 @@
 """Star covers of the derived bipartite graph and their balancing loop.
 
 The derived graph keeps the A-vertices and the D-vertices (members of D
-isolated inside the induced subgraph on D), joined only by host edges
+with no neighbour in D, the set D*), joined only by host edges
 between the two sides.  A star cover assigns every D-vertex to exactly one
 adjacent A-vertex; the loop below repeatedly moves one assignment from a
 most-loaded center to a much-less-loaded one along an alternating tree path,

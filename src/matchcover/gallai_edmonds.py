@@ -17,15 +17,13 @@ class GallaiEdmonds:
     d: vertices missed by some maximum matching.
     a: N(d) outside d.
     c: the rest; the matching restricted to c is perfect on c.
-    d_components: components of the subgraph induced by d, by smallest member.
-    d_star: members of d isolated within that subgraph.
+    d_star: members of d with no neighbour in d (the trivial D-components).
     """
 
     d: frozenset[int]
     a: frozenset[int]
     c: frozenset[int]
     max_matching: Matching
-    d_components: tuple[tuple[int, ...], ...]
     d_star: frozenset[int]
 
 
@@ -34,19 +32,16 @@ def decompose(g: Graph, m: Matching) -> GallaiEdmonds:
 
     D is read off the final alternating forest as the outer-labelled
     vertices (blossom interiors included).  The same multi-source search
-    rejects m if it is not maximum: two of its trees meet.
+    rejects m if it is not maximum: two of its trees meet.  D* is read from
+    adjacency: the D-vertices with no neighbour in D.
     """
     if not m.is_valid_on(g):
         raise ValueError("matching is not valid on this graph")
     d = outer_vertices(g, m)
     a = neighbor_set(g, d)
     c = frozenset(range(g.n)) - d - a
-    sub, old_ids = induced_subgraph(g, d)
-    d_components = tuple(
-        tuple(old_ids[v] for v in comp) for comp in components(sub)
-    )
-    d_star = frozenset(comp[0] for comp in d_components if len(comp) == 1)
-    return GallaiEdmonds(d, a, c, m, d_components, d_star)
+    d_star = frozenset(v for v in d if d.isdisjoint(g.adjacency[v]))
+    return GallaiEdmonds(d, a, c, m, d_star)
 
 
 def verify_decomposition(g: Graph, ge: GallaiEdmonds) -> bool:

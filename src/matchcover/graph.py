@@ -46,12 +46,19 @@ class Graph:
                 raise ValueError(f"duplicate edge {e[0]}-{e[1]}")
             seen.add(e)
             norm.append(e)
-        norm.sort()
+        return cls._from_checked_pairs(n, norm)
+
+    @classmethod
+    def _from_checked_pairs(cls, n: int, pairs: list[tuple[int, int]]) -> "Graph":
+        """Build from distinct pairs (u, v) with 0 <= u < v < n, unchecked."""
+        # once the pairs are sorted, each vertex meets its lower neighbours
+        # (as v) before its higher ones, so every adjacency list is ascending
+        pairs.sort()
         adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in norm:
+        for u, v in pairs:
             adj[u].append(v)
             adj[v].append(u)
-        return cls(n, tuple(norm), tuple(tuple(sorted(a)) for a in adj))
+        return cls(n, tuple(pairs), tuple(map(tuple, adj)))
 
     @property
     def m(self) -> int:
@@ -122,7 +129,7 @@ def parse_graph(text: str) -> Graph:
         raise GraphFormatError("missing 'p <n> <m>' header")
     if len(edges) != m:
         raise GraphFormatError(f"header declares {m} edges, found {len(edges)}")
-    return Graph.from_edges(n, edges)
+    return Graph._from_checked_pairs(n, edges)
 
 
 def serialize_graph(g: Graph) -> str:
@@ -136,15 +143,18 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
     """Subgraph induced by the vertex set ``s``, relabelled to 0..|s|-1.
 
     Returns (subgraph, old_ids) where old_ids[i] is the host vertex carried
-    by subgraph vertex i; old_ids is sorted ascending.
+    by subgraph vertex i; old_ids is sorted ascending.  Only the adjacency
+    lists of ``s`` are read, so the cost is O(|s| + vol(s)).
     """
     old_ids = tuple(sorted(set(s)))
     for v in old_ids:
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} not in host graph")
     idx = {old: new for new, old in enumerate(old_ids)}
-    sub_edges = [(idx[u], idx[v]) for u, v in g.edges if u in idx and v in idx]
-    return Graph.from_edges(len(old_ids), sub_edges), old_ids
+    sub_edges = [
+        (idx[u], idx[v]) for u in old_ids for v in g.adjacency[u] if u < v and v in idx
+    ]
+    return Graph._from_checked_pairs(len(old_ids), sub_edges), old_ids
 
 
 def neighbor_set(g: Graph, s: Iterable[int]) -> frozenset[int]:

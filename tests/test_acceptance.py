@@ -123,14 +123,18 @@ def test_criterion_4_decomposition_certification(corpus):
         g, ge = inst.graph, inst.decomposition
         ok = ok and verify_decomposition(g, ge)
         ok = ok and ge.d == brute_d_set(g, BUDGET)
-        for comp in ge.d_components:
+        sub_d, d_ids = induced_subgraph(g, ge.d)
+        d_components = [
+            tuple(d_ids[v] for v in comp) for comp in components(sub_d)
+        ]
+        for comp in d_components:
             sub, _ = induced_subgraph(g, comp)
             ok = ok and is_factor_critical(sub)
         exposed = sum(
             1 for v in range(g.n) if ge.max_matching.mate(v) == -1
         )
         if ge.d:
-            ok = ok and exposed == len(ge.d_components) - len(ge.a)
+            ok = ok and exposed == len(d_components) - len(ge.a)
         else:
             ok = ok and exposed == 0
     verdict(4, "decomposition certification", ok)

@@ -102,6 +102,19 @@ def test_solve_trace_flag(tmp_path, capsys):
     assert "mc = 2" in out
 
 
+def test_solve_trace_flag_host_ids_per_component(tmp_path, capsys):
+    # the instance above shifted by 2, plus a K2 on vertices 1-2: the
+    # component is solved relabelled, but the trace names host vertices
+    text = "p 8 7\ne 1 2\ne 3 5\ne 3 6\ne 3 7\ne 3 8\ne 4 7\ne 4 8\n"
+    code = main(["solve", "--trace", write(tmp_path, "t.g", text)])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    transforms = [line for line in out.splitlines() if line.startswith("transform:")]
+    assert len(transforms) == 1
+    assert "origin=3 terminus=4" in transforms[0]
+    assert "mc = 2" in out
+
+
 def test_solve_parse_error_exit_2(tmp_path, capsys):
     code = main(["solve", write(tmp_path, "bad.g", "p 2 1\ne 1 1\n")])
     err = capsys.readouterr().err

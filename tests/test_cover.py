@@ -72,6 +72,17 @@ def test_verify_cover_rejects_foreign_matching():
     assert not verify_cover(g, MatchingCover((other,)))
 
 
+def test_verify_cover_rejects_bad_mate_table():
+    g = path_graph(4)
+    # pairs 0 with 3, which is not an edge of P4; the table is symmetric
+    non_edge = Matching([3, 2, 1, 0])
+    assert not verify_cover(g, MatchingCover((non_edge,)))
+    # 0-1 and 2-3 are edges, but 1 names 2 as its mate
+    asymmetric = Matching([1, 2, 3, 2])
+    assert not verify_cover(g, MatchingCover((asymmetric,)))
+    assert not verify_cover(g, MatchingCover((Matching([1, 0, 3, 2]), asymmetric)))
+
+
 def test_single_vertex_errors():
     with pytest.raises(ValueError, match="no matching cover") as info:
         solve(Graph.from_edges(1, []))
@@ -103,14 +114,21 @@ def test_every_level_nonempty():
 
 
 def test_branch_facts_consistent():
-    for seed in range(80):
-        g = random_connected_graph(10, p=0.25, seed=seed)
+    # odd n reaches the factor-critical branch, even n cannot
+    for n, seed in [(n, seed) for n in (10, 9) for seed in range(80)]:
+        g = random_connected_graph(n, p=0.25, seed=seed)
         res = solve(g)
-        ge = decompose(g, maximum_matching(g))
+        m = maximum_matching(g)
+        ge = decompose(g, m)
         if not ge.a and not ge.d:
             assert res.branch == "perfect" and res.cover.k == 1
+            assert res.cover.matchings == (m,)
         elif not ge.a:
             assert res.branch == "factor_critical" and res.cover.k == 2
+            (v,) = [v for v in range(g.n) if m.mate(v) == -1]
+            w = g.adjacency[v][0]
+            extra = Matching.from_edges(g, [(min(v, w), max(v, w))])
+            assert res.cover.matchings == (m, extra)
         else:
             assert res.branch == "gstar"
             assert res.cover.k == max(2, res.md)
@@ -126,6 +144,29 @@ def test_level_one_is_maximum_matching():
         assert len(res.cover.matchings[0]) == len(maximum_matching(g))
         ge = decompose(g, maximum_matching(g))
         assert res.cover.matchings[0].covers(ge.c | ge.a)
+
+
+def test_level_one_size_matches_networkx():
+    """Level 1 is a maximum matching: its size equals the matching number
+    that networkx computes independently, on every connected branch."""
+    nx = pytest.importorskip("networkx")
+    # dense small graphs reach all three branches; sparse ones up to n = 472
+    # (m from n - 1 to 3n) are perfect or go through the derived graph
+    graphs = [random_connected_graph(n, p=0.5, seed=n) for n in range(5, 12)]
+    for seed in range(40):
+        n = 4 + seed * 12
+        m = n - 1 + (seed % 4) * n * 2 // 3
+        graphs.append(random_connected_graph(n, m=m, seed=seed))
+    branches = set()
+    for g in graphs:
+        res = solve(g)
+        branches.add(res.branch)
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        nu = len(nx.max_weight_matching(h, maxcardinality=True))
+        assert len(res.cover.matchings[0]) == nu
+    assert branches == {"perfect", "factor_critical", "gstar"}
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import pytest
 from matchcover import (
     Matching,
     brute_d_set,
+    components,
     induced_subgraph,
     random_connected_graph,
 )
@@ -20,6 +21,12 @@ from conftest import complete_graph, cycle_graph, path_graph
 BUDGET = OracleBudget(max_vertices=12, max_edges=66)
 
 
+def d_components(g, ge):
+    """Components of G[D] in host ids, from the graph helpers."""
+    sub, old_ids = induced_subgraph(g, ge.d)
+    return [tuple(old_ids[v] for v in comp) for comp in components(sub)]
+
+
 def test_decompose_p4_perfect():
     g = path_graph(4)
     ge = decompose(g, maximum_matching(g))
@@ -35,7 +42,6 @@ def test_decompose_p3():
     assert ge.d == {0, 2}
     assert ge.a == {1}
     assert ge.c == frozenset()
-    assert ge.d_components == ((0,), (2,))
     assert ge.d_star == {0, 2}
     assert ge.d == brute_d_set(g, BUDGET)
 
@@ -46,7 +52,6 @@ def test_decompose_c3():
     assert ge.d == {0, 1, 2}
     assert ge.a == frozenset()
     assert ge.c == frozenset()
-    assert ge.d_components == ((0, 1, 2),)
     assert ge.d_star == frozenset()
 
 
@@ -86,7 +91,6 @@ def test_verify_p3_true_and_swapped_false():
     swapped = GallaiEdmonds(
         d=ge.a, a=ge.d, c=ge.c,
         max_matching=ge.max_matching,
-        d_components=ge.d_components,
         d_star=ge.d_star,
     )
     assert not verify_decomposition(g, swapped)
@@ -125,8 +129,11 @@ def test_random_decompositions_verify():
             ge = decompose(g, m)
             assert verify_decomposition(g, ge)
             assert ge.d == brute_d_set(g, BUDGET)
+            comps = d_components(g, ge)
+            # D* is exactly the set of trivial D-components
+            assert ge.d_star == {comp[0] for comp in comps if len(comp) == 1}
             # every D-component induces a factor-critical subgraph
-            for comp in ge.d_components:
+            for comp in comps:
                 sub, _ = induced_subgraph(g, comp)
                 assert is_factor_critical(sub)
             # matching restricted to C is perfect on C
@@ -136,4 +143,4 @@ def test_random_decompositions_verify():
             exposed = [v for v in range(g.n) if m.mate(v) == -1]
             assert all(v in ge.d for v in exposed)
             if ge.d:
-                assert len(exposed) == len(ge.d_components) - len(ge.a)
+                assert len(exposed) == len(comps) - len(ge.a)

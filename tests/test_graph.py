@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from matchcover import (
@@ -141,3 +143,42 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(3, [(0, 1), (1, 0)])
     with pytest.raises(ValueError, match="out of range"):
         Graph.from_edges(2, [(0, 2)])
+
+
+def test_parse_serialize_round_trip_random():
+    """Parsing rebuilds the same graph whatever the edge-line order, and
+    every adjacency list comes out ascending."""
+    rng = random.Random(7)
+    for seed in range(40):
+        n = rng.randrange(2, 60)
+        m = rng.randrange(n - 1, min(3 * n, n * (n - 1) // 2) + 1)
+        g = random_connected_graph(n, m=m, seed=seed)
+        text = serialize_graph(g)
+        assert parse_graph(text) == g
+        header, *lines = text.split("\n")
+        rng.shuffle(lines)
+        # swap the endpoints of about half of the edge lines
+        lines = [
+            f"e {v} {u}" if rng.random() < 0.5 else f"e {u} {v}"
+            for _, u, v in (line.split() for line in lines)
+        ]
+        h = parse_graph("\n".join([header, *lines]))
+        assert h == g
+        assert all(list(nbrs) == sorted(nbrs) for nbrs in h.adjacency)
+
+
+def test_induced_subgraph_matches_edge_filter():
+    """Reading adjacency gives the subgraph defined by filtering every host
+    edge, on random vertex subsets."""
+    rng = random.Random(11)
+    for seed in range(40):
+        g = random_connected_graph(rng.randrange(2, 40), p=0.2, seed=seed)
+        s = {v for v in range(g.n) if rng.random() < 0.5}
+        sub, old_ids = induced_subgraph(g, s)
+        assert old_ids == tuple(sorted(s))
+        idx = {old: new for new, old in enumerate(old_ids)}
+        expected = Graph.from_edges(
+            len(old_ids),
+            [(idx[u], idx[v]) for u, v in g.edges if u in idx and v in idx],
+        )
+        assert sub == expected
