@@ -136,12 +136,13 @@ def _solve_connected(g, trace):
     gs = build_gstar(g, ge)
     # every neighbour of a D*-vertex lies in A, so m pairs each D*-vertex
     # with an A-vertex or leaves it exposed: all that initial_cover reads
-    opt = optimize(gs, initial_cover(gs, m), trace)
+    sc = initial_cover(gs, m)
+    transforms = optimize(gs, sc, trace)
     return SolveResult(
-        cover=assemble(g, ge, m, opt.cover.stars),
+        cover=assemble(g, ge, m, sc.stars),
         branch="gstar",
-        md=opt.cover.max_degree(),
-        transforms=opt.transforms,
+        md=sc.max_degree(),
+        transforms=transforms,
         gstar_size=gs.size,
     )
 

@@ -1,15 +1,17 @@
 """Star covers of the derived bipartite graph and their balancing loop.
 
-The derived graph keeps the A-vertices and the D-vertices (members of D
-with no neighbour in D, the set D*), joined only by host edges
-between the two sides.  A star cover assigns every D-vertex to exactly one
-adjacent A-vertex; the loop below repeatedly moves one assignment from a
-most-loaded center to a much-less-loaded one along an alternating tree path,
-until the maximum star size cannot be reduced.
+The derived graph joins the A-vertices to the D-vertices (members of D with
+no neighbour in D, the set D*); every neighbour of a D*-vertex lies in A, so
+it is read off D*'s adjacency lists.  A star cover assigns every D-vertex to
+one adjacent A-vertex.  The loop below keeps one cover, checked once, and
+updates it in place: each switching path moves one unit of load from a
+most-loaded center to a much-less-loaded one, until the maximum star size
+cannot be reduced.
 """
 
 from __future__ import annotations
 
+import bisect
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
@@ -23,38 +25,33 @@ from .graph import Graph
 class GStar:
     """Bipartite graph between A-vertices and D-vertices, in host vertex ids.
 
-    Every D-vertex has at least one A-neighbour; isolated vertices, if any,
-    are A-vertices.
+    ``adj`` maps each D-vertex to its A-neighbours (the D side only).  Every
+    D-vertex has at least one A-neighbour, listed once; isolated vertices,
+    if any, are A-vertices.
     """
 
-    def __init__(self, a_vertices, d_vertices, edges):
+    def __init__(self, a_vertices, adj):
         self.a_vertices: tuple[int, ...] = tuple(sorted(a_vertices))
-        self.d_vertices: tuple[int, ...] = tuple(sorted(d_vertices))
-        a_set = set(self.a_vertices)
-        d_set = set(self.d_vertices)
-        if a_set & d_set:
-            raise ValueError("A-vertices and D-vertices must be disjoint")
-        adj: dict[int, list[int]] = {v: [] for v in self.a_vertices}
-        adj.update({v: [] for v in self.d_vertices})
-        norm = []
-        for u, v in edges:
-            if u in a_set and v in d_set:
-                a, d = u, v
-            elif v in a_set and u in d_set:
-                a, d = v, u
-            else:
-                raise ValueError(f"edge {u}-{v} does not join the two sides")
-            adj[a].append(d)
-            adj[d].append(a)
-            norm.append((min(u, v), max(u, v)))
+        self.d_vertices: tuple[int, ...] = tuple(sorted(adj))
+        self._a_set = frozenset(self.a_vertices)
+        self.adj: dict[int, tuple[int, ...]] = {}
         for d in self.d_vertices:
-            if not adj[d]:
+            if d in self._a_set:
+                raise ValueError("A-vertices and D-vertices must be disjoint")
+            nb = tuple(sorted(adj[d]))
+            if not nb:
                 raise ValueError(f"D-vertex {d} has no A-neighbour")
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(norm))
-        self.adj: dict[int, tuple[int, ...]] = {
-            v: tuple(sorted(nb)) for v, nb in adj.items()
-        }
-        self._a_set = frozenset(a_set)
+            for a in nb:
+                if a not in self._a_set:
+                    raise ValueError(f"edge {d}-{a} does not join the two sides")
+            if len(set(nb)) < len(nb):
+                raise ValueError(f"D-vertex {d} lists an A-neighbour twice")
+            self.adj[d] = nb
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        pairs = ((min(a, d), max(a, d)) for d in self.adj for a in self.adj[d])
+        return tuple(sorted(pairs))
 
     @property
     def size(self) -> int:
@@ -68,18 +65,14 @@ def build_gstar(g: Graph, ge: GallaiEdmonds) -> GStar:
     """Derived bipartite graph of g; requires a nonempty A side."""
     if not ge.a:
         raise ValueError("decomposition has empty A; the derived graph is not defined")
-    a_set = ge.a
-    d_set = ge.d_star
-    edges = [
-        (u, v)
-        for u, v in g.edges
-        if (u in a_set and v in d_set) or (v in a_set and u in d_set)
-    ]
-    return GStar(a_set, d_set, edges)
+    return GStar(ge.a, {d: g.adjacency[d] for d in ge.d_star})
 
 
 class StarCover:
-    """Assignment of every D-vertex to one adjacent A-vertex (its star center)."""
+    """Assignment of every D-vertex to one adjacent A-vertex (its star center).
+
+    ``stars`` maps each center to its D-vertices, ascending.
+    """
 
     def __init__(self, gstar: GStar, center: dict[int, int]):
         if set(center) != set(gstar.d_vertices):
@@ -89,10 +82,9 @@ class StarCover:
                 raise ValueError(f"{a} is not an A-neighbour of D-vertex {d}")
         self.gstar = gstar
         self.center: dict[int, int] = dict(center)
-        stars: dict[int, list[int]] = {}
+        self.stars: dict[int, list[int]] = {}
         for d in gstar.d_vertices:
-            stars.setdefault(center[d], []).append(d)
-        self.stars: dict[int, list[int]] = {a: sorted(ds) for a, ds in stars.items()}
+            self.stars.setdefault(center[d], []).append(d)
 
     def effective_degree(self, a: int) -> int:
         if not self.gstar.is_a_vertex(a):
@@ -136,17 +128,13 @@ class AlternatingForest:
     """Disjoint alternating trees rooted at the maximum centers.
 
     root_of maps every A-vertex in the forest to its tree root; pred maps
-    each non-root A-vertex to the D-vertex it was attached through.
+    each non-root A-vertex to the D-vertex it was attached through.  The
+    forest's D side is the union of its A-vertices' stars.
     """
 
     roots: tuple[int, ...]
     root_of: dict[int, int]
     pred: dict[int, int]
-    d_members: frozenset[int]
-
-    @property
-    def a_members(self) -> frozenset[int]:
-        return frozenset(self.root_of)
 
 
 def build_forest(gs: GStar, sc: StarCover) -> AlternatingForest:
@@ -156,22 +144,17 @@ def build_forest(gs: GStar, sc: StarCover) -> AlternatingForest:
     part of the graph not claimed by earlier trees, pulling in a whole star
     whenever its center is reached through a tree D-vertex.
     """
-    delta = sc.max_degree()
-    if delta < 1:
+    if sc.max_degree() < 1:
         raise ValueError("forest is only defined when some star is nonempty")
     root_of: dict[int, int] = {}
     pred: dict[int, int] = {}
-    d_members: set[int] = set()
     roots: list[int] = []
     for u in sc.maximum_centers():
         if u in root_of:
             continue
         roots.append(u)
         root_of[u] = u
-        queue = deque()
-        for d in sc.stars.get(u, ()):
-            d_members.add(d)
-            queue.append(d)
+        queue = deque(sc.stars.get(u, ()))
         while queue:
             x = queue.popleft()
             for y in gs.adj[x]:
@@ -179,10 +162,8 @@ def build_forest(gs: GStar, sc: StarCover) -> AlternatingForest:
                     continue
                 root_of[y] = u
                 pred[y] = x
-                for d2 in sc.stars.get(y, ()):
-                    d_members.add(d2)
-                    queue.append(d2)
-    return AlternatingForest(tuple(roots), root_of, pred, frozenset(d_members))
+                queue.extend(sc.stars.get(y, ()))
+    return AlternatingForest(tuple(roots), root_of, pred)
 
 
 @dataclass(frozen=True)
@@ -224,18 +205,22 @@ def find_switching_path(f: AlternatingForest, sc: StarCover) -> SwitchingPath | 
     return SwitchingPath(tuple(seq))
 
 
-def transform(sc: StarCover, path: SwitchingPath) -> StarCover:
-    """Shift one unit of load from the path's origin to its terminus.
+def transform(sc: StarCover, path: SwitchingPath) -> None:
+    """Shift one unit of load from the path's origin to its terminus, in place.
 
     The symmetric difference with the path's edges reassigns each D-vertex
-    on the path to the next center; every other star is untouched.
+    on the path to the next center; every other star is untouched.  The
+    path is checked in full before the first write, so a rejected path
+    leaves sc unchanged.  Cost: O(path length x star size).
     """
     verts = path.vertices
     if len(verts) < 3 or len(verts) % 2 == 0:
         raise ValueError("switching path must have a positive even edge count")
+    if len(set(verts)) < len(verts):
+        raise ValueError("switching path repeats a vertex")
     gs = sc.gstar
-    for i in range(0, len(verts) - 2, 2):
-        a, d, a_next = verts[i], verts[i + 1], verts[i + 2]
+    moves = list(zip(verts[0::2], verts[1::2], verts[2::2]))
+    for a, d, a_next in moves:
         if sc.center.get(d) != a:
             raise ValueError(f"edge {a}-{d} is not in the cover")
         if a_next not in gs.adj[d]:
@@ -245,49 +230,40 @@ def transform(sc: StarCover, path: SwitchingPath) -> StarCover:
         raise ValueError("path origin is not a maximum center")
     if sc.effective_degree(origin) < sc.effective_degree(terminus) + 2:
         raise ValueError("origin and terminus degrees are too close to switch")
-    center = dict(sc.center)
-    for i in range(1, len(verts), 2):
-        center[verts[i]] = verts[i + 1]
-    return StarCover(gs, center)
-
-
-@dataclass
-class OptimizeResult:
-    cover: StarCover
-    transforms: int
+    # no star empties: only the origin loses load, and it holds at least 2
+    for a, d, a_next in moves:
+        sc.center[d] = a_next
+        sc.stars[a].remove(d)
+        bisect.insort(sc.stars.setdefault(a_next, []), d)
 
 
 def optimize(
     gs: GStar,
-    sc0: StarCover,
+    sc: StarCover,
     trace: Callable[[SwitchingPath, int], None] | None = None,
-) -> OptimizeResult:
-    """Apply switching paths until none exists; the final maximum star size
-    is the matching D-cover number of the derived graph.
+) -> int:
+    """Balance sc in place by switching paths; return how many were applied.
 
-    The transform count is bounded by the derived graph's vertex count;
-    exceeding it means a solver bug and aborts hard.  The maximum star size
-    never increases along the way.
+    The final maximum star size is the matching D-cover number of the
+    derived graph.  The count is bounded by the derived graph's vertex
+    count; exceeding it means a solver bug and aborts hard.  The maximum
+    star size never increases along the way.
     """
-    sc = sc0
-    limit = gs.size
     count = 0
-    prev_delta = sc.max_degree()
-    while sc.max_degree() > 1:
-        forest = build_forest(gs, sc)
-        path = find_switching_path(forest, sc)
+    delta = sc.max_degree()
+    while delta > 1:
+        path = find_switching_path(build_forest(gs, sc), sc)
         if path is None:
             break
-        sc = transform(sc, path)
+        transform(sc, path)
         count += 1
-        if count > limit:
+        if count > gs.size:
             raise InternalInvariantError(
                 "switching-path transform count exceeded the derived graph order"
             )
-        delta = sc.max_degree()
+        prev_delta, delta = delta, sc.max_degree()
         if delta > prev_delta:
             raise InternalInvariantError("maximum star size increased")
-        prev_delta = delta
         if trace is not None:
             trace(path, delta)
-    return OptimizeResult(sc, count)
+    return count

@@ -31,11 +31,13 @@ def _matching(n, pairs):
 
 def test_gstar_validation():
     with pytest.raises(ValueError, match="disjoint"):
-        GStar([0, 1], [1, 2], [])
+        GStar([0, 1], {1: [0], 2: [0]})
     with pytest.raises(ValueError, match="two sides"):
-        GStar([0], [1], [(0, 0)])
+        GStar([0], {1: [0, 2]})
     with pytest.raises(ValueError, match="no A-neighbour"):
-        GStar([0], [1, 2], [(0, 1)])
+        GStar([0], {1: [0], 2: []})
+    with pytest.raises(ValueError, match="twice"):
+        GStar([0], {1: [0, 0]})
 
 
 def test_build_gstar_p3():
@@ -56,6 +58,26 @@ def test_build_gstar_star():
     assert gs.size == 4
 
 
+def test_build_gstar_edges_are_host_a_dstar_edges():
+    """Read from D*'s adjacency lists, the derived graph has exactly the
+    host edges between A and D*."""
+    checked = 0
+    for seed in range(80):
+        g = random_connected_graph(11, p=0.25, seed=seed)
+        ge = decompose(g, maximum_matching(g))
+        if not ge.a:
+            continue
+        gs = build_gstar(g, ge)
+        assert set(gs.edges) == {
+            (u, v)
+            for u, v in g.edges
+            if {u, v} & ge.a and {u, v} & ge.d_star
+        }
+        assert gs.d_vertices == tuple(sorted(ge.d_star))
+        checked += 1
+    assert checked >= 20
+
+
 def test_build_gstar_rejects_empty_a():
     g = path_graph(4)
     ge = decompose(g, maximum_matching(g))
@@ -64,28 +86,28 @@ def test_build_gstar_rejects_empty_a():
 
 
 def test_initial_cover_p3():
-    gs = GStar([1], [0, 2], [(0, 1), (1, 2)])
+    gs = GStar([1], {0: [1], 2: [1]})
     sc = initial_cover(gs, _matching(3, [(0, 1)]))
     assert sc.center == {0: 1, 2: 1}
     assert sc.max_degree() == 2
 
 
 def test_initial_cover_star_forced():
-    gs = GStar([0], [1, 2, 3], [(0, 1), (0, 2), (0, 3)])
+    gs = GStar([0], {1: [0], 2: [0], 3: [0]})
     sc = initial_cover(gs, _matching(4, [(0, 1)]))
     assert sc.center == {1: 0, 2: 0, 3: 0}
     assert sc.max_degree() == 3
 
 
 def test_initial_cover_two_disjoint_edges():
-    gs = GStar([0, 1], [2, 3], [(0, 2), (1, 3)])
+    gs = GStar([0, 1], {2: [0], 3: [1]})
     sc = initial_cover(gs, _matching(4, [(0, 2), (1, 3)]))
     assert sc.max_degree() == 1
     assert sc.edges() == [(0, 2), (1, 3)]
 
 
 def test_effective_degree():
-    gs = GStar([1, 3], [0, 2], [(0, 1), (1, 2), (2, 3)])
+    gs = GStar([1, 3], {0: [1], 2: [1, 3]})
     sc = StarCover(gs, {0: 1, 2: 1})
     assert sc.effective_degree(1) == 2
     assert sc.effective_degree(3) == 0
@@ -94,7 +116,7 @@ def test_effective_degree():
 
 
 def test_single_edge_star_degree():
-    gs = GStar([0], [1], [(0, 1)])
+    gs = GStar([0], {1: [0]})
     sc = StarCover(gs, {1: 0})
     assert sc.effective_degree(0) == 1
 
@@ -102,32 +124,35 @@ def test_single_edge_star_degree():
 # A small instance used repeatedly below: center u=0 carries d-vertices
 # 2,3,4 while A-vertex 1 sits idle, adjacent only to 4.
 def _lopsided():
-    gs = GStar([0, 1], [2, 3, 4], [(0, 2), (0, 3), (0, 4), (1, 4)])
+    gs = GStar([0, 1], {2: [0], 3: [0], 4: [0, 1]})
     sc = StarCover(gs, {2: 0, 3: 0, 4: 0})
     return gs, sc
+
+
+def _forest_d_side(f, sc):
+    """The forest's D-vertices: the stars of its A-vertices."""
+    return {d for a in f.root_of for d in sc.stars.get(a, ())}
 
 
 def test_build_forest_pulls_in_idle_center():
     gs, sc = _lopsided()
     f = build_forest(gs, sc)
     assert f.roots == (0,)
-    assert f.a_members == {0, 1}
-    assert f.d_members == {2, 3, 4}
+    assert set(f.root_of) == {0, 1}
+    assert _forest_d_side(f, sc) == {2, 3, 4}
     assert f.pred[1] == 4
 
 
 def test_build_forest_no_growth_on_full_star():
-    gs = GStar([0], [1, 2, 3], [(0, 1), (0, 2), (0, 3)])
+    gs = GStar([0], {1: [0], 2: [0], 3: [0]})
     sc = StarCover(gs, {1: 0, 2: 0, 3: 0})
     f = build_forest(gs, sc)
     assert f.roots == (0,)
-    assert f.a_members == {0}
+    assert set(f.root_of) == {0}
 
 
 def test_build_forest_two_components_two_trees():
-    gs = GStar(
-        [0, 1], [2, 3, 4, 5], [(0, 2), (0, 3), (1, 4), (1, 5)]
-    )
+    gs = GStar([0, 1], {2: [0], 3: [0], 4: [1], 5: [1]})
     sc = StarCover(gs, {2: 0, 3: 0, 4: 1, 5: 1})
     f = build_forest(gs, sc)
     assert f.roots == (0, 1)
@@ -147,9 +172,9 @@ def test_forest_closure():
         if sc.max_degree() < 2:
             continue
         f = build_forest(gs, sc)
-        for d in f.d_members:
+        for d in _forest_d_side(f, sc):
             for a in gs.adj[d]:
-                assert a in f.a_members
+                assert a in f.root_of
 
 
 def test_find_switching_path_lopsided():
@@ -160,27 +185,23 @@ def test_find_switching_path_lopsided():
 
 
 def test_find_switching_path_none_on_full_star():
-    gs = GStar([0], [1, 2, 3], [(0, 1), (0, 2), (0, 3)])
+    gs = GStar([0], {1: [0], 2: [0], 3: [0]})
     sc = StarCover(gs, {1: 0, 2: 0, 3: 0})
     assert find_switching_path(build_forest(gs, sc), sc) is None
 
 
 def test_find_switching_path_none_when_degrees_close():
-    gs = GStar(
-        [0, 1], [2, 3, 4], [(0, 2), (0, 3), (1, 4), (3, 1)]
-    )
+    gs = GStar([0, 1], {2: [0], 3: [0, 1], 4: [1]})
     sc = StarCover(gs, {2: 0, 3: 0, 4: 1})
     assert find_switching_path(build_forest(gs, sc), sc) is None
 
 
 def test_transform_lopsided():
     gs, sc = _lopsided()
-    sc2 = transform(sc, SwitchingPath((0, 4, 1)))
-    assert sc2.center == {2: 0, 3: 0, 4: 1}
-    assert sc2.effective_degree(0) == 2
-    assert sc2.effective_degree(1) == 1
-    # untouched original
-    assert sc.effective_degree(0) == 3
+    assert transform(sc, SwitchingPath((0, 4, 1))) is None
+    assert sc.center == {2: 0, 3: 0, 4: 1}
+    assert sc.effective_degree(0) == 2
+    assert sc.effective_degree(1) == 1
 
 
 def test_transform_degree_bookkeeping():
@@ -188,14 +209,12 @@ def test_transform_degree_bookkeeping():
     the first to the last moves one unit: sizes become (2, 3, 2, 2)."""
     gs = GStar(
         [0, 1, 2, 3],
-        [4, 5, 6, 7, 8, 9, 10, 11, 12],
-        [
-            (0, 4), (0, 5), (0, 6),
-            (1, 7), (1, 8), (1, 9),
-            (2, 10), (2, 11),
-            (3, 12),
-            (1, 6), (2, 9), (3, 11),
-        ],
+        {
+            4: [0], 5: [0], 6: [0, 1],
+            7: [1], 8: [1], 9: [1, 2],
+            10: [2], 11: [2, 3],
+            12: [3],
+        },
     )
     sc = StarCover(
         gs,
@@ -203,47 +222,67 @@ def test_transform_degree_bookkeeping():
     )
     before = [sc.effective_degree(a) for a in (0, 1, 2, 3)]
     assert before == [3, 3, 2, 1]
-    sc2 = transform(sc, SwitchingPath((0, 6, 1, 9, 2, 11, 3)))
-    after = [sc2.effective_degree(a) for a in (0, 1, 2, 3)]
+    transform(sc, SwitchingPath((0, 6, 1, 9, 2, 11, 3)))
+    after = [sc.effective_degree(a) for a in (0, 1, 2, 3)]
     assert after == [2, 3, 2, 2]
-    assert sc2.max_degree() == 3
+    assert sc.max_degree() == 3
+
+
+def _snapshot(sc):
+    return dict(sc.center), {a: list(ds) for a, ds in sc.stars.items()}
 
 
 def test_transform_rejects_bad_paths():
+    """A rejected path leaves the cover exactly as it was."""
     gs, sc = _lopsided()
+    before = _snapshot(sc)
     with pytest.raises(ValueError, match="even edge count"):
         transform(sc, SwitchingPath((0, 4)))
+    assert _snapshot(sc) == before
     with pytest.raises(ValueError, match="not in the cover"):
         transform(sc, SwitchingPath((1, 4, 0)))
+    assert _snapshot(sc) == before
     balanced = StarCover(
-        GStar([0, 1], [2, 3], [(0, 2), (0, 3), (1, 3)]), {2: 0, 3: 1}
+        GStar([0, 1], {2: [0], 3: [0, 1]}), {2: 0, 3: 1}
     )
+    before = _snapshot(balanced)
     with pytest.raises(ValueError, match="too close"):
         transform(balanced, SwitchingPath((1, 3, 0)))
+    assert _snapshot(balanced) == before
+    # every step of this walk is a cover edge then a derived-graph edge,
+    # but it passes center 0 and D-vertex 3 twice
+    gs = GStar(
+        [0, 1, 2], {3: [0, 1, 2], 4: [0, 1], 5: [0], 6: [0], 7: [1], 8: [1]}
+    )
+    sc = StarCover(gs, {3: 0, 5: 0, 6: 0, 4: 1, 7: 1, 8: 1})
+    before = _snapshot(sc)
+    with pytest.raises(ValueError, match="repeats a vertex"):
+        transform(sc, SwitchingPath((0, 3, 1, 4, 0, 3, 2)))
+    assert _snapshot(sc) == before
 
 
 def test_optimize_lopsided_reaches_two():
     gs, sc = _lopsided()
-    res = optimize(gs, sc)
-    assert res.cover.max_degree() == 2
-    assert res.cover.max_degree() == brute_md(gs)
-    assert res.transforms == 1
+    transforms = optimize(gs, sc)
+    assert sc.max_degree() == 2
+    assert sc.max_degree() == brute_md(gs)
+    assert transforms == 1
 
 
 def test_optimize_perfect_cover_unchanged():
-    gs = GStar([0, 1], [2, 3], [(0, 2), (1, 3)])
+    gs = GStar([0, 1], {2: [0], 3: [1]})
     sc = StarCover(gs, {2: 0, 3: 1})
-    res = optimize(gs, sc)
-    assert res.transforms == 0
-    assert res.cover.center == sc.center
-    assert res.cover.max_degree() == 1
+    before = dict(sc.center)
+    assert optimize(gs, sc) == 0
+    assert sc.center == before
+    assert sc.max_degree() == 1
 
 
 def test_optimize_full_star_stuck_at_three():
-    gs = GStar([0], [1, 2, 3], [(0, 1), (0, 2), (0, 3)])
+    gs = GStar([0], {1: [0], 2: [0], 3: [0]})
     sc = StarCover(gs, {1: 0, 2: 0, 3: 0})
-    res = optimize(gs, sc)
-    assert res.cover.max_degree() == 3
+    optimize(gs, sc)
+    assert sc.max_degree() == 3
     assert brute_md(gs) == 3
 
 
@@ -256,23 +295,29 @@ def test_optimize_matches_brute_md_random():
             continue
         gs = build_gstar(g, ge)
         deltas = []
-        res = optimize(
-            gs,
-            initial_cover(gs, Matching.empty(g.n)),
-            trace=lambda path, delta: deltas.append(delta),
+        sc = initial_cover(gs, Matching.empty(g.n))
+        transforms = optimize(
+            gs, sc, trace=lambda path, delta: deltas.append(delta)
         )
-        assert res.cover.max_degree() == brute_md(gs, BUDGET)
-        assert res.transforms <= gs.size
+        assert sc.max_degree() == brute_md(gs, BUDGET)
+        assert transforms <= gs.size
         # the maximum star size never increases between transforms
         assert all(b <= a for a, b in zip(deltas, deltas[1:]))
+        # the in-place updates keep stars equal to the grouping of center,
+        # each list ascending and nonempty
+        grouped = {}
+        for d, a in sorted(sc.center.items()):
+            grouped.setdefault(a, []).append(d)
+        assert sc.stars == grouped
+        assert all(ds and ds == sorted(ds) for ds in sc.stars.values())
         checked += 1
     assert checked >= 50
 
 
 def test_star_cover_validation():
-    gs = GStar([0], [1, 2], [(0, 1), (0, 2)])
+    gs = GStar([0], {1: [0], 2: [0]})
     with pytest.raises(ValueError, match="exactly the D-vertices"):
         StarCover(gs, {1: 0})
-    gs2 = GStar([0, 3], [1, 2], [(0, 1), (0, 2), (3, 2)])
+    gs2 = GStar([0, 3], {1: [0], 2: [0, 3]})
     with pytest.raises(ValueError, match="not an A-neighbour"):
         StarCover(gs2, {1: 3, 2: 0})

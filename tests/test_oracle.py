@@ -29,11 +29,11 @@ def test_brute_mc_errors():
 
 
 def test_brute_md():
-    empty_d = GStar([0, 1], [], [])
+    empty_d = GStar([0, 1], {})
     assert brute_md(empty_d) == 0
-    k13 = GStar([0], [1, 2, 3], [(0, 1), (0, 2), (0, 3)])
+    k13 = GStar([0], {1: [0], 2: [0], 3: [0]})
     assert brute_md(k13) == 3
-    lopsided = GStar([0, 1], [2, 3, 4], [(0, 2), (0, 3), (0, 4), (1, 4)])
+    lopsided = GStar([0, 1], {2: [0], 3: [0], 4: [0, 1]})
     assert brute_md(lopsided) == 2
 
 
