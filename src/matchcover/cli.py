@@ -122,6 +122,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_random(args) -> int:
+    if args.count < 1:
+        print(f"error: --count must be at least 1, got {args.count}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         for i in range(args.count):
             g = random_connected_graph(

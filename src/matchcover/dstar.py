@@ -143,9 +143,16 @@ def build_forest(gs: GStar, sc: StarCover) -> AlternatingForest:
     Roots are processed ascending; each tree is grown to maximality in the
     part of the graph not claimed by earlier trees, pulling in a whole star
     whenever its center is reached through a tree D-vertex.
+
+    Growth stops as soon as every A-vertex is in the forest.  The forest is
+    the same as with full growth: every later D-vertex would find all its
+    neighbours claimed, and every later maximum center is already in a
+    tree.  Where a few D-vertices reach every A-vertex (K_{k,L}: one), a
+    rebuild reads their adjacency lists instead of every edge.
     """
     if sc.max_degree() < 1:
         raise ValueError("forest is only defined when some star is nonempty")
+    n_a = len(gs.a_vertices)
     root_of: dict[int, int] = {}
     pred: dict[int, int] = {}
     roots: list[int] = []
@@ -155,7 +162,7 @@ def build_forest(gs: GStar, sc: StarCover) -> AlternatingForest:
         roots.append(u)
         root_of[u] = u
         queue = deque(sc.stars.get(u, ()))
-        while queue:
+        while queue and len(root_of) < n_a:
             x = queue.popleft()
             for y in gs.adj[x]:
                 if y in root_of:

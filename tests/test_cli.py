@@ -171,6 +171,15 @@ def test_random_too_few_edges_exit_2(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_random_bad_count_exit_2(capsys, count):
+    code = main(["random", "--n", "5", "--m", "6", "--seed", "3", "--count", count])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_random_count_separators(capsys):
     code = main(["random", "--n", "5", "--m", "6", "--seed", "3", "--count", "2"])
     out = capsys.readouterr().out

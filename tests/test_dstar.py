@@ -1,8 +1,12 @@
+import random
+from collections import deque
+
 import pytest
 
-from matchcover import Matching, brute_md, random_connected_graph
+from matchcover import Graph, Matching, brute_md, random_connected_graph, solve
 from matchcover.blossom import maximum_matching
 from matchcover.dstar import (
+    AlternatingForest,
     GStar,
     StarCover,
     SwitchingPath,
@@ -177,6 +181,108 @@ def test_forest_closure():
                 assert a in f.root_of
 
 
+def _full_forest(gs, sc):
+    """Reference forest: every tree grown until its queue is empty."""
+    root_of, pred, roots = {}, {}, []
+    for u in sc.maximum_centers():
+        if u in root_of:
+            continue
+        roots.append(u)
+        root_of[u] = u
+        queue = deque(sc.stars.get(u, ()))
+        while queue:
+            x = queue.popleft()
+            for y in gs.adj[x]:
+                if y in root_of:
+                    continue
+                root_of[y] = u
+                pred[y] = x
+                queue.extend(sc.stars.get(y, ()))
+    return AlternatingForest(tuple(roots), root_of, pred)
+
+
+@pytest.mark.parametrize(
+    "a_side, adj, root_of",
+    [
+        # A-vertex 2 has no D-neighbour: the forest never holds every
+        # A-vertex, so growth runs to the end
+        ([0, 1, 2], {3: [0], 4: [0, 1], 5: [0]}, {0: 0, 1: 0}),
+        # two components: the first tree claims its own, and the second
+        # stops once it holds the last A-vertex
+        (
+            [0, 1, 2, 3],
+            {4: [0, 1], 5: [0], 6: [0], 7: [2, 3], 8: [2], 9: [2]},
+            {0: 0, 1: 0, 2: 2, 3: 2},
+        ),
+    ],
+    ids=["isolated_a_vertex", "disconnected"],
+)
+def test_build_forest_stop_keeps_forest(a_side, adj, root_of):
+    """Each D-vertex on its first A-neighbour; same forest as full growth."""
+    gs = GStar(a_side, adj)
+    sc = StarCover(gs, {d: nb[0] for d, nb in adj.items()})
+    f = build_forest(gs, sc)
+    assert f == _full_forest(gs, sc)
+    assert f.root_of == root_of
+
+
+def test_build_forest_stop_keeps_forest_random():
+    """Same roots, root_of and pred as full growth on random derived graphs
+    and covers, including every cover the balancing loop passes through."""
+    rng = random.Random(7)
+    all_claimed = 0
+    for _ in range(400):
+        a_side = list(range(rng.randint(1, 6)))
+        n_a = len(a_side)
+        adj = {
+            n_a + i: rng.sample(a_side, rng.randint(1, n_a))
+            for i in range(rng.randint(1, 14))
+        }
+        gs = GStar(a_side, adj)
+        sc = StarCover(gs, {d: rng.choice(nb) for d, nb in adj.items()})
+        f = build_forest(gs, sc)
+        assert f == _full_forest(gs, sc)
+        all_claimed += len(f.root_of) == n_a
+    assert all_claimed >= 100
+    checked = 0
+    for seed in range(200):
+        g = random_connected_graph(20, p=0.15, seed=seed)
+        ge = decompose(g, maximum_matching(g))
+        if not ge.a:
+            continue
+        gs = build_gstar(g, ge)
+        sc = initial_cover(gs, Matching.empty(g.n))
+
+        def same_as_full(*_):
+            assert build_forest(gs, sc) == _full_forest(gs, sc)
+
+        same_as_full()
+        checked += optimize(gs, sc, trace=same_as_full) + 1
+    assert checked >= 150
+
+
+class _CountingAdj(dict):
+    def __init__(self, adj):
+        super().__init__(adj)
+        self.reads = 0
+
+    def __getitem__(self, d):
+        self.reads += 1
+        return super().__getitem__(d)
+
+
+def test_build_forest_stops_once_every_a_vertex_is_claimed():
+    """On K_{3,12} with every D-vertex on center 0, the first D-vertex
+    reaches both other centers and no further adjacency list is read."""
+    gs = GStar([0, 1, 2], {d: [0, 1, 2] for d in range(3, 15)})
+    sc = StarCover(gs, {d: 0 for d in range(3, 15)})
+    gs.adj = _CountingAdj(gs.adj)
+    f = build_forest(gs, sc)
+    assert gs.adj.reads == 1
+    assert f == _full_forest(gs, sc)
+    assert f.pred == {1: 3, 2: 3}
+
+
 def test_find_switching_path_lopsided():
     gs, sc = _lopsided()
     path = find_switching_path(build_forest(gs, sc), sc)
@@ -312,6 +418,28 @@ def test_optimize_matches_brute_md_random():
         assert all(ds and ds == sorted(ds) for ds in sc.stars.values())
         checked += 1
     assert checked >= 50
+
+
+@pytest.mark.parametrize(
+    "k, big, transforms",
+    [(1, 5, None), (2, 3, None), (3, 10, None), (4, 17, None),
+     (7, 23, None), (5, 60, None), (20, 2000, 1881)],
+)
+def test_optimize_complete_bipartite_closed_form(k, big, transforms):
+    """K_{k,L} with L > k: the large side is D*, the small side A, and the
+    stars balance to md = ceil(L/k), which is also mc."""
+    g = Graph.from_edges(
+        k + big, [(a, k + d) for a in range(k) for d in range(big)]
+    )
+    gs = build_gstar(g, decompose(g, maximum_matching(g)))
+    sc = initial_cover(gs, maximum_matching(g))
+    count = optimize(gs, sc)
+    md = -(-big // k)
+    assert sc.max_degree() == md
+    assert count <= gs.size
+    if transforms is not None:
+        assert count == transforms
+    assert solve(g).cover.k == md
 
 
 def test_star_cover_validation():
