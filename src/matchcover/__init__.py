@@ -1,4 +1,4 @@
-"""Optimal matching covers of simple connected graphs.
+"""Optimal matching covers of simple graphs without isolated vertices.
 
 Computes the matching cover number mc(G) together with an explicit optimal
 family of matchings covering V(G), built on blossom maximum matching, the

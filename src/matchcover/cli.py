@@ -163,7 +163,8 @@ def cmd_bench(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matchcover",
-        description="Optimal matching covers of simple connected graphs",
+        description="Optimal matching covers of simple graphs without isolated"
+        " vertices",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -9,7 +9,7 @@ from .blossom import Matching, maximum_matching, maximum_matching_covering
 from .dstar import SwitchingPath, build_gstar, initial_cover, optimize
 from .errors import InternalInvariantError, NoCoverError
 from .gallai_edmonds import GallaiEdmonds, decompose
-from .graph import Graph, components, induced_subgraph
+from .graph import Graph
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class SolveResult:
     """Cover plus the run facts the CLI reports."""
 
     cover: MatchingCover
-    branch: str  # "perfect" | "factor_critical" | "gstar" | "per_component"
+    branch: str  # "perfect" | "factor_critical" | "gstar"
     md: int | None
     transforms: int
     gstar_size: int | None
@@ -54,66 +54,27 @@ def solve(
 ) -> SolveResult:
     """Compute an optimal matching cover together with run statistics.
 
-    Connected graphs follow the theorem's two cases: a perfect matching is
-    the whole cover, and every other graph is assembled from its
-    decomposition (a factor-critical graph being the case A = ∅);
-    disconnected input is solved per component with same-level matchings
-    unioned (their vertex sets are disjoint) and k the maximum over
-    components.  Empty input and isolated vertices (a single vertex
+    Every graph follows the theorem's two cases, connected or not: a perfect
+    matching is the whole cover, and every other graph is assembled from its
+    decomposition (A = ∅ being the factor-critical case).  The decomposition,
+    G* and the assembly are defined on any graph, so disconnected input is
+    solved whole.  Empty input and isolated vertices (a single vertex
     included) admit no cover and raise :class:`NoCoverError`.
 
-    The cover is checked once, at the end, with :func:`verify_cover`;
-    components are vertex-disjoint, so a bad part cover fails that check.
+    The cover is checked once, at the end, with :func:`verify_cover`.
     """
     if g.n == 0:
         raise NoCoverError("empty graph has no matching cover")
-    comps = components(g)
-    for comp in comps:
-        if len(comp) == 1:
-            raise NoCoverError(
-                f"vertex {comp[0]} is isolated: no matching cover exists"
-            )
-    if len(comps) == 1:
-        result = _solve_connected(g, trace)
-    else:
-        result = _solve_per_component(g, comps, trace)
+    isolated = next((v for v, nbrs in enumerate(g.adjacency) if not nbrs), None)
+    if isolated is not None:
+        raise NoCoverError(f"vertex {isolated} is isolated: no matching cover exists")
+    result = _solve_cases(g, trace)
     if not verify_cover(g, result.cover):
         raise InternalInvariantError("assembled cover does not cover V(G)")
     return result
 
 
-def _solve_per_component(g, comps, trace):
-    sub_results = []
-    for comp in comps:
-        sub, old_ids = induced_subgraph(g, comp)
-        res = _solve_connected(sub, _to_host_ids(trace, old_ids))
-        sub_results.append((res, old_ids))
-    k = max(res.cover.k for res, _ in sub_results)
-    levels: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    for res, old_ids in sub_results:
-        for level, m in zip(levels, res.cover.matchings):
-            level.extend((old_ids[u], old_ids[v]) for u, v in m.edges())
-    cover = MatchingCover(tuple(Matching.from_edges(g, lv) for lv in levels))
-    mds = [res.md for res, _ in sub_results if res.md is not None]
-    return SolveResult(
-        cover=cover,
-        branch="per_component",
-        md=max(mds) if mds else None,
-        transforms=sum(res.transforms for res, _ in sub_results),
-        gstar_size=None,
-    )
-
-
-def _to_host_ids(trace, old_ids):
-    """Wrap ``trace`` so paths found in a component reach it in host ids."""
-    if trace is None:
-        return None
-    return lambda path, delta: trace(
-        SwitchingPath(tuple(old_ids[v] for v in path.vertices)), delta
-    )
-
-
-def _solve_connected(g, trace):
+def _solve_cases(g, trace):
     m = maximum_matching(g)
     ge = decompose(g, m)
     if not ge.d:
@@ -125,7 +86,8 @@ def _solve_connected(g, trace):
             gstar_size=None,
         )
     if not ge.a:
-        # factor-critical: the A-empty case of the theorem, with no stars
+        # A = ∅: every part of g is factor-critical or perfectly matched by m,
+        # so there are no stars
         return SolveResult(
             cover=assemble(g, ge, m, {}),
             branch="factor_critical",

@@ -28,15 +28,14 @@ class GallaiEdmonds:
 
 
 def decompose(g: Graph, m: Matching) -> GallaiEdmonds:
-    """Decompose g using a maximum matching m.
+    """Decompose g using a maximum matching m of g.
 
-    D is read off the final alternating forest as the outer-labelled
-    vertices (blossom interiors included).  The same multi-source search
-    rejects m if it is not maximum: two of its trees meet.  D* is read from
-    adjacency: the D-vertices with no neighbour in D.
+    m must be a matching of g, such as :func:`maximum_matching` returns; it
+    is not validated here.  D is read off the final alternating forest as
+    the outer-labelled vertices (blossom interiors included).  The same
+    multi-source search rejects m if it is not maximum: two of its trees
+    meet.  D* is read from adjacency: the D-vertices with no neighbour in D.
     """
-    if not m.is_valid_on(g):
-        raise ValueError("matching is not valid on this graph")
     d = outer_vertices(g, m)
     a = neighbor_set(g, d)
     c = frozenset(range(g.n)) - d - a

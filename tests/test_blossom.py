@@ -105,6 +105,14 @@ def test_covering_k4_keeps_seed_vertices():
     assert m.covers([0, 2])
 
 
+def test_covering_rejects_invalid_matching():
+    # a matching of another graph is rejected, not grown
+    g = path_graph(4)
+    bad = Matching.from_edges(path_graph(5), [(0, 1)])
+    with pytest.raises(ValueError, match="not valid"):
+        maximum_matching_covering(g, bad)
+
+
 def test_random_nu_matches_oracle():
     """At least 500 random small graphs against the subset-DP oracle."""
     count = 0

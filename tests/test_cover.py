@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 import matchcover.cover
@@ -93,16 +96,59 @@ def test_single_vertex_errors():
     with pytest.raises(ValueError, match="empty graph") as info:
         solve(Graph.from_edges(0, []))
     assert info.type is NoCoverError
+    # the lowest isolated vertex is named
+    with pytest.raises(NoCoverError, match="vertex 2 is isolated"):
+        solve(Graph.from_edges(6, [(0, 1), (3, 5)]))
 
 
 def test_disconnected_components_combined():
     # a triangle (needs 2 levels) next to an edge (needs 1)
     g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
     res = solve(g)
-    assert res.branch == "per_component"
+    # solved whole: A is empty, D the triangle and C the edge
+    assert res.branch == "factor_critical"
     assert res.cover.k == 2
     assert verify_cover(g, res.cover)
     assert res.cover.k == brute_mc(g, BUDGET)
+
+
+def test_all_small_graphs_against_oracle():
+    """Every labelled graph on 2..5 vertices without an isolated vertex,
+    connected or not, is solved whole to the oracle's mc."""
+    total = 0
+    for n in range(2, 6):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+            if all(g.adjacency):
+                total += 1
+                assert solve(g).cover.k == brute_mc(g, BUDGET)
+    assert total == 814
+
+
+def test_disjoint_unions_against_oracle():
+    """Disjoint unions of random connected parts, with their vertices
+    shuffled so that the parts interleave in the vertex ids."""
+    rng = random.Random(2016)
+    branches = set()
+    for _ in range(400):
+        sizes = [rng.randint(2, 5) for _ in range(rng.randint(2, 4))]
+        while sum(sizes) > 12:
+            sizes.pop()
+        n = sum(sizes)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        edges, offset = [], 0
+        for size in sizes:
+            part = random_connected_graph(size, p=0.5, seed=rng.randrange(1 << 30))
+            edges += [(perm[offset + u], perm[offset + v]) for u, v in part.edges]
+            offset += size
+        g = Graph.from_edges(n, edges)
+        res = solve(g)
+        branches.add(res.branch)
+        assert verify_cover(g, res.cover)
+        assert res.cover.k == brute_mc(g, BUDGET)
+    assert branches == {"perfect", "factor_critical", "gstar"}
 
 
 def test_every_level_nonempty():
@@ -173,13 +219,13 @@ def test_level_one_size_matches_networkx():
     "g,branch",
     [
         (star_graph(3), "gstar"),
-        (Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]), "per_component"),
+        (Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]), "gstar"),
     ],
     ids=["star", "p3_plus_k2"],
 )
 def test_final_check_catches_bad_part_cover(g, branch, monkeypatch):
-    """One check at the end of solve rejects a part cover that misses a
-    vertex, on the connected and on the per-component path alike."""
+    """One check at the end of solve rejects a cover that misses a vertex,
+    on a connected and on a disconnected graph alike."""
     assert solve(g).branch == branch
     real = matchcover.cover.assemble
 

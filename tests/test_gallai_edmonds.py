@@ -77,13 +77,6 @@ def test_decompose_rejects_random_non_maximum():
     assert count >= 200
 
 
-def test_decompose_rejects_invalid_matching():
-    g = path_graph(4)
-    bad = Matching.from_edges(path_graph(5), [(0, 1)])
-    with pytest.raises(ValueError, match="not valid"):
-        decompose(g, bad)
-
-
 def test_verify_p3_true_and_swapped_false():
     g = path_graph(3)
     ge = decompose(g, maximum_matching(g))
