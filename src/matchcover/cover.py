@@ -28,7 +28,9 @@ class SolveResult:
     """Cover plus the run facts the CLI reports."""
 
     cover: MatchingCover
-    branch: str  # "perfect" | "factor_critical" | "gstar"
+    # "perfect" | "factor_critical" | "gstar"; "factor_critical" means A = ∅:
+    # every component is factor-critical or perfectly matched
+    branch: str
     md: int | None
     transforms: int
     gstar_size: int | None
