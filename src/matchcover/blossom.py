@@ -339,9 +339,10 @@ def maximum_matching_covering(g: Graph, m0: Matching) -> Matching:
 
     The greedy seed only pairs two exposed vertices and augmentation never
     uncovers a covered vertex, so growing m0 to maximum cardinality
-    preserves its coverage.
+    preserves its coverage.  m0 must be a matching of g, as one built by
+    :meth:`Matching.from_edges` is; only its vertex count is checked here.
     """
-    if not m0.is_valid_on(g):
+    if m0.n != g.n:
         raise ValueError("matching is not valid on this graph")
     mate = list(m0.mates)
     _maximize(g.adjacency, mate)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable
 
 
@@ -46,11 +49,17 @@ class Graph:
                 raise ValueError(f"duplicate edge {e[0]}-{e[1]}")
             seen.add(e)
             norm.append(e)
-        return cls._from_checked_pairs(n, norm)
+        return cls._from_checked_pairs(n, norm, frozenset(seen))
 
     @classmethod
-    def _from_checked_pairs(cls, n: int, pairs: list[tuple[int, int]]) -> "Graph":
-        """Build from distinct pairs (u, v) with 0 <= u < v < n, unchecked."""
+    def _from_checked_pairs(
+        cls, n: int, pairs: list[tuple[int, int]], edge_set: frozenset | None = None
+    ) -> "Graph":
+        """Build from distinct pairs (u, v) with 0 <= u < v < n, unchecked.
+
+        ``edge_set`` is the frozenset of the pairs, when a caller has built
+        one to reject duplicates; it becomes the graph's :attr:`edge_set`.
+        """
         # once the pairs are sorted, each vertex meets its lower neighbours
         # (as v) before its higher ones, so every adjacency list is ascending
         pairs.sort()
@@ -58,7 +67,12 @@ class Graph:
         for u, v in pairs:
             adj[u].append(v)
             adj[v].append(u)
-        return cls(n, tuple(pairs), tuple(map(tuple, adj)))
+        g = cls(n, tuple(pairs), tuple(map(tuple, adj)))
+        if edge_set is not None:
+            # the cached_property's slot; the dataclass is frozen, and its
+            # equality and hash read only the three fields
+            g.__dict__["edge_set"] = edge_set
+        return g
 
     @property
     def m(self) -> int:
@@ -77,12 +91,74 @@ class Graph:
         return len(self.adjacency[v])
 
 
+# The layout serialize_graph writes: a header line, then `e <u> <v>` lines,
+# single spaces, `\n` endings, at most one final newline (stripped first).
+# _NOT_EDGE finds a newline not followed by an edge line: one lookahead per
+# line keeps the matcher's state small, where one greedy repeat over all the
+# lines would hold O(m) of it.
+_HEADER = re.compile(r"p ([0-9]+) ([0-9]+)(?:\n|\Z)")
+_NOT_EDGE = re.compile(r"\n(?!e [0-9]+ [0-9]+(?:\n|\Z))")
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the `p <n> <m>` / `e <u> <v>` edge-list format (1-indexed).
 
     Comment lines start with `c`; blank lines are ignored. Errors name the
     offending line. Vertices are stored 0-indexed.
+
+    Text in the exact layout :func:`serialize_graph` writes (optionally
+    newline-terminated) is read in bulk; any other layout, and any text that
+    fails a check, is read line by line, which accepts the same inputs,
+    builds the same graph and names the offending line.
     """
+    g = _parse_canonical(text)
+    return _parse_lines(text) if g is None else g
+
+
+def _parse_canonical(text: str) -> Graph | None:
+    """The graph of a valid canonical-layout text, or None to read it line
+    by line (another layout, or a check failed)."""
+    if text.endswith("\n"):
+        text = text[:-1]
+    header = _HEADER.match(text)
+    if header is None or _NOT_EDGE.search(text):
+        return None
+    tokens = text.split()
+    try:
+        n = int(header[1])
+        m = int(header[2])
+        us = list(map(int, tokens[4::3]))
+        vs = list(map(int, tokens[5::3]))
+    except ValueError:  # a digit string beyond int's length limit
+        return None
+    # each list is dropped once read: at most two lists of m objects are
+    # alive at a time, which keeps peak memory at the line-by-line reader's
+    del tokens
+    if n < 1 or len(us) != m:
+        return None
+    if us and (
+        min(min(us), min(vs)) < 1
+        or max(max(us), max(vs)) > n
+        or any(map(operator.eq, us, vs))
+    ):
+        return None
+    # sort each edge as the integer lo * n + hi of its 0-indexed ends
+    # lo < hi: ints order like the pairs and compare faster, and divmod by
+    # n gives the pairs back
+    shift = n + 1
+    keys = [u * n + v - shift if u < v else v * n + u - shift for u, v in zip(us, vs)]
+    del us, vs
+    keys.sort()
+    pairs = list(map(divmod, keys, repeat(n)))
+    del keys
+    edge_set = frozenset(pairs)
+    if len(edge_set) != m:
+        return None
+    return Graph._from_checked_pairs(n, pairs, edge_set)
+
+
+def _parse_lines(text: str) -> Graph:
+    """Line-by-line reader for every accepted layout; names the bad line."""
     n = None
     m = None
     edges: list[tuple[int, int]] = []
@@ -129,7 +205,7 @@ def parse_graph(text: str) -> Graph:
         raise GraphFormatError("missing 'p <n> <m>' header")
     if len(edges) != m:
         raise GraphFormatError(f"header declares {m} edges, found {len(edges)}")
-    return Graph._from_checked_pairs(n, edges)
+    return Graph._from_checked_pairs(n, edges, frozenset(seen))
 
 
 def serialize_graph(g: Graph) -> str:

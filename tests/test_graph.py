@@ -11,7 +11,7 @@ from matchcover import (
     random_connected_graph,
     serialize_graph,
 )
-from matchcover.graph import neighbor_set
+from matchcover.graph import _parse_canonical, _parse_lines, neighbor_set
 
 from conftest import cycle_graph, path_graph
 
@@ -165,6 +165,138 @@ def test_parse_serialize_round_trip_random():
         h = parse_graph("\n".join([header, *lines]))
         assert h == g
         assert all(list(nbrs) == sorted(nbrs) for nbrs in h.adjacency)
+
+
+def _outcome(parse, text):
+    """The parsed graph, or the error's (message, line) pair."""
+    try:
+        return parse(text)
+    except GraphFormatError as exc:
+        return str(exc), exc.line
+
+
+def _canonical_texts(rng):
+    """serialize_graph texts, and benchmark-style texts with the edge lines
+    relabelled, shuffled and half of them reversed."""
+    yield "p 3 0"
+    for seed in range(60):
+        n = rng.randrange(2, 50)
+        m = rng.randrange(n - 1, min(3 * n, n * (n - 1) // 2) + 1)
+        g = random_connected_graph(n, m=m, seed=seed)
+        yield serialize_graph(g)
+        label = list(range(1, n + 1))
+        rng.shuffle(label)
+        lines = [
+            f"e {label[u]} {label[v]}" if rng.random() < 0.5 else f"e {label[v]} {label[u]}"
+            for u, v in g.edges
+        ]
+        rng.shuffle(lines)
+        yield "\n".join([f"p {n} {m}", *lines])
+
+
+def _mutations(text, rng):
+    """Near-canonical variants: each breaks one check of the bulk reader,
+    or leaves the canonical layout for one the line reader also accepts."""
+    header, *lines = text.split("\n")
+    _, n, m = header.split()
+    n, m = int(n), int(m)
+    yield text + "\n"
+    yield text + "\n\n"
+    yield text.replace("\n", "\r\n")
+    yield text + "\r\n"
+    yield "c comment\n" + text
+    yield f"p {n} {m - 1}\n" + "\n".join(lines)
+    yield f"p {n} {m + 1}\n" + "\n".join(lines)
+    yield "\n".join(["p 0 0", *lines])
+    yield "\n".join([f"p 0{n} {m}", *lines])
+    yield "\n".join([header, header, *lines])
+    if not lines:
+        return
+    i = rng.randrange(len(lines))
+    _, u, v = lines[i].split()
+
+    def with_line(new):
+        return "\n".join([header, *lines[:i], new, *lines[i + 1 :]])
+
+    yield with_line(f"e 0 {v}")
+    yield with_line(f"e {u} {n + 1}")
+    yield with_line(f"e {u} {u}")
+    yield "\n".join([f"p {n} {m + 1}", *lines[: i + 1], lines[i], *lines[i + 1 :]])
+    yield "\n".join([header, *lines, lines[i]])
+    if len(lines) > 1:  # the same edge reversed, in place of another line
+        j = (i + 1) % len(lines)
+        yield "\n".join([header, *lines[:j], f"e {v} {u}", *lines[j + 1 :]])
+    yield with_line(f"e 0{u} 00{v}")
+    yield with_line(f"e {u[0]}_{u[1:]} {v}" if len(u) > 1 else f"e 0_{u} {v}")
+    yield with_line(f"e +{u} {v}")
+    yield with_line(f"e {u} {v} 1")
+    yield with_line(f"e {u}")
+    yield with_line(f"e  {u} {v}")
+    yield with_line(f"e {u} {v} ")
+    yield with_line(f"e\t{u} {v}")
+    yield with_line(f"e {u} {v[:-1]}{chr(0x660 + int(v[-1]))}")
+    yield with_line("e 1 " + "9" * 5000)
+    yield with_line(f"p {n} {m}")
+    yield with_line(f"x {u} {v}")
+
+
+def test_bulk_parse_agrees_with_line_reader():
+    """parse_graph equals the line-by-line reader on canonical texts and on
+    mutations of them: the same graph, or the same message and line."""
+    rng = random.Random(5)
+    accepted = 0
+    errors = []
+    for text in _canonical_texts(rng):
+        # canonical text is read in bulk, not handed to the line reader
+        g = _parse_canonical(text)
+        assert g is not None
+        assert g == _parse_lines(text)
+        for variant in _mutations(text, rng):
+            got = _outcome(parse_graph, variant)
+            assert got == _outcome(_parse_lines, variant), variant
+            if isinstance(got, Graph):
+                accepted += 1
+            else:
+                errors.append(got[0])
+    # variants are accepted too, and every kind of error is reached
+    assert accepted > 0
+    joined = "\n".join(errors)
+    for kind in (
+        "endpoint out of range",
+        "self-loop",
+        "duplicate edge",
+        "declares",
+        "header values out of range",
+        "edge must be",
+        "duplicate header",
+        "unknown line type",
+    ):
+        assert kind in joined
+
+
+def test_edge_set_seeded_and_transparent():
+    """Parsed and from_edges graphs carry their edge set from construction;
+    it answers has_edge both ways and does not affect equality or hashing."""
+    rng = random.Random(9)
+    for seed in range(20):
+        n = rng.randrange(2, 30)
+        m = rng.randrange(n - 1, min(2 * n, n * (n - 1) // 2) + 1)
+        g0 = random_connected_graph(n, m=m, seed=seed)
+        text = serialize_graph(g0)
+        for g in (
+            parse_graph(text),
+            parse_graph(text.replace("\n", "\r\n")),
+            Graph.from_edges(n, [(v, u) for u, v in reversed(g0.edges)]),
+        ):
+            assert "edge_set" in g.__dict__
+            assert g.edge_set == frozenset(g.edges)
+            edges = set(g.edges)
+            for u in range(n):
+                for v in range(n):
+                    assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edges)
+            plain = Graph(g.n, g.edges, g.adjacency)
+            assert "edge_set" not in plain.__dict__
+            assert plain == g and hash(plain) == hash(g)
 
 
 def test_induced_subgraph_matches_edge_filter():
