@@ -4,20 +4,18 @@ The search engine is the classic contraction scheme: grow an alternating
 tree from an exposed vertex, shrink odd cycles onto their base, stop when an
 augmenting path appears or the tree becomes Hungarian.  Contracted blossoms
 are tracked with a union-find structure so one search costs about O(m)
-rather than O(n) per contraction.  Each pass over the exposed vertices
-(maximization, :func:`augment`, :func:`outer_vertices`) allocates one search
-state and reuses it for every root: an augmentation resets only the vertices
-the search touched, and a failed (Hungarian) tree is retired for the rest of
-the pass.  Exposed vertices are scanned in ascending order and adjacency
-lists are sorted, so results are deterministic.  The outer labelling of one
-multi-source search from every exposed vertex is exposed through
-:func:`outer_vertices` for the structure decomposition.
+rather than O(n) per contraction.  Maximization grows one tree per exposed
+root, ascending, with one search state for the whole pass: an augmentation
+resets only the vertices the search touched, and a failed (Hungarian) tree
+is retired for the rest of the pass.  :func:`outer_vertices` runs one
+multi-source search from every exposed vertex and exposes its outer
+labelling for the structure decomposition.  Adjacency lists are sorted, so
+results are deterministic.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import InternalInvariantError
 from .graph import Graph
@@ -98,19 +96,6 @@ class Matching:
 
     def __repr__(self) -> str:
         return f"Matching({self.edges()!r})"
-
-
-@dataclass(frozen=True)
-class AugmentingPath:
-    """Alternating path between two exposed vertices; odd number of edges."""
-
-    vertices: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.vertices) < 2 or len(self.vertices) % 2 != 0:
-            raise ValueError("augmenting path must have an odd number of edges")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("augmenting path must be simple")
 
 
 class _TreesCrossed(InternalInvariantError):
@@ -300,37 +285,6 @@ def maximum_matching(g: Graph) -> Matching:
     """A maximum-cardinality matching, computed deterministically."""
     mate = [-1] * g.n
     _maximize(g.adjacency, mate)
-    return Matching(mate)
-
-
-def augment(g: Graph, m: Matching) -> AugmentingPath | None:
-    """An augmenting path for m, or None when m is maximum."""
-    if not m.is_valid_on(g):
-        raise ValueError("matching is not valid on this graph")
-    mate = list(m.mates)
-    search = _Search(g.adjacency, mate)
-    for root in range(g.n):
-        if mate[root] != -1:
-            continue
-        end = search.run((root,))
-        if end is not None:
-            seq = _path_vertices(mate, search.p, end)
-            seq.reverse()
-            return AugmentingPath(tuple(seq))
-        search.retire()
-    return None
-
-
-def apply_augmentation(m: Matching, path: AugmentingPath) -> Matching:
-    """Symmetric difference of m with the path's edges; grows m by one edge."""
-    mate = list(m.mates)
-    verts = path.vertices
-    if mate[verts[0]] != -1 or mate[verts[-1]] != -1:
-        raise ValueError("path endpoints must be exposed")
-    for i in range(1, len(verts) - 1, 2):
-        if mate[verts[i]] != verts[i + 1]:
-            raise ValueError("path does not alternate with the matching")
-    _flip(mate, list(verts))
     return Matching(mate)
 
 

@@ -91,7 +91,7 @@ def _solve_cases(g, trace):
         # A = ∅: every part of g is factor-critical or perfectly matched by m,
         # so there are no stars
         return SolveResult(
-            cover=assemble(g, ge, m, {}),
+            cover=assemble(g, ge, {}),
             branch="factor_critical",
             md=None,
             transforms=0,
@@ -103,7 +103,7 @@ def _solve_cases(g, trace):
     sc = initial_cover(gs, m)
     transforms = optimize(gs, sc, trace)
     return SolveResult(
-        cover=assemble(g, ge, m, sc.stars),
+        cover=assemble(g, ge, sc.stars),
         branch="gstar",
         md=sc.max_degree(),
         transforms=transforms,
@@ -111,21 +111,20 @@ def _solve_cases(g, trace):
     )
 
 
-def assemble(
-    g: Graph, ge: GallaiEdmonds, m: Matching, stars: dict[int, list[int]]
-) -> MatchingCover:
+def assemble(g: Graph, ge: GallaiEdmonds, stars: dict[int, list[int]]) -> MatchingCover:
     """Turn a star cover of D* (center -> sorted D*-vertices) into a cover of g.
 
     D is nonempty, so g has no perfect matching and k = max(2, md), md being
     the largest star size (0 without stars, as for a factor-critical g).
-    Level 1 is a maximum matching grown on g itself from the edges of m with
-    no end in A plus each star's first edge; these are vertex-disjoint, since
-    a D*-vertex has only A-neighbours.  Growth never uncovers a vertex, so
-    level 1 keeps covering C and every star's first edge.  Level 2 merges a
-    rescue edge inside its D-component for each D-vertex level 1 misses with
-    each star's next edge; higher levels take one further edge per star.
+    Level 1 is a maximum matching grown on g itself from the edges of
+    ``ge.max_matching`` with no end in A plus each star's first edge; these
+    are vertex-disjoint, since a D*-vertex has only A-neighbours.  Growth
+    never uncovers a vertex, so level 1 keeps covering C and every star's
+    first edge.  Level 2 merges a rescue edge inside its D-component for
+    each D-vertex level 1 misses with each star's next edge; higher levels
+    take one further edge per star.
     """
-    a_set, c_set, d_set = ge.a, ge.c, ge.d
+    a_set, c_set, d_set, m = ge.a, ge.c, ge.d, ge.max_matching
     if not all(m.mate(v) in c_set for v in c_set):
         raise InternalInvariantError("matching restricted to C is not perfect on C")
 

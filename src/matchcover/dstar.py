@@ -110,12 +110,11 @@ def initial_cover(gs: GStar, m: Matching) -> StarCover:
     Each D-vertex matched by m keeps its mate, which must be an A-vertex;
     exposed D-vertices go to their lowest-indexed A-neighbour.
     """
-    a_set = set(gs.a_vertices)
     center: dict[int, int] = {}
     for d in gs.d_vertices:
         mate = m.mate(d)
         if mate != -1:
-            if mate not in a_set:
+            if not gs.is_a_vertex(mate):
                 raise ValueError(f"D-vertex {d} is matched outside the A side")
             center[d] = mate
         else:

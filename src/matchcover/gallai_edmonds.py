@@ -4,10 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# augment is no longer called here; solvebench's tracing test still reads
-# this module's binding of it, so the import stays.
-from .blossom import Matching, augment, maximum_matching, outer_vertices  # noqa: F401
-from .graph import Graph, components, induced_subgraph, neighbor_set
+from .blossom import Matching, outer_vertices
+from .graph import Graph, neighbor_set
 
 
 @dataclass(frozen=True)
@@ -41,39 +39,3 @@ def decompose(g: Graph, m: Matching) -> GallaiEdmonds:
     c = frozenset(range(g.n)) - d - a
     d_star = frozenset(v for v in d if d.isdisjoint(g.adjacency[v]))
     return GallaiEdmonds(d, a, c, m, d_star)
-
-
-def verify_decomposition(g: Graph, ge: GallaiEdmonds) -> bool:
-    """Check the decomposition against the per-vertex definition of D.
-
-    Each membership test recomputes a maximum matching of g minus a vertex,
-    independently of the forest labels used by :func:`decompose`.
-    """
-    nu = len(maximum_matching(g))
-    for v in range(g.n):
-        keep = [w for w in range(g.n) if w != v]
-        sub, _ = induced_subgraph(g, keep)
-        in_d = len(maximum_matching(sub)) == nu
-        if in_d != (v in ge.d):
-            return False
-    if ge.a != neighbor_set(g, ge.d):
-        return False
-    if ge.c != frozenset(range(g.n)) - ge.d - ge.a:
-        return False
-    if ge.d & ge.a or ge.d & ge.c or ge.a & ge.c:
-        return False
-    return True
-
-
-def is_factor_critical(h: Graph) -> bool:
-    """True iff h is connected and h minus any one vertex has a perfect matching."""
-    if h.n == 0 or len(components(h)) != 1:
-        return False
-    if h.n % 2 == 0:
-        return False
-    for v in range(h.n):
-        keep = [w for w in range(h.n) if w != v]
-        sub, _ = induced_subgraph(h, keep)
-        if not maximum_matching(sub).is_perfect_on(sub):
-            return False
-    return True

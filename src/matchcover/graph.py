@@ -49,20 +49,20 @@ class Graph:
                 raise ValueError(f"duplicate edge {e[0]}-{e[1]}")
             seen.add(e)
             norm.append(e)
+        norm.sort()
         return cls._from_checked_pairs(n, norm, frozenset(seen))
 
     @classmethod
     def _from_checked_pairs(
         cls, n: int, pairs: list[tuple[int, int]], edge_set: frozenset | None = None
     ) -> "Graph":
-        """Build from distinct pairs (u, v) with 0 <= u < v < n, unchecked.
+        """Build from distinct ascending pairs (u, v), 0 <= u < v < n, unchecked.
 
         ``edge_set`` is the frozenset of the pairs, when a caller has built
         one to reject duplicates; it becomes the graph's :attr:`edge_set`.
         """
         # once the pairs are sorted, each vertex meets its lower neighbours
         # (as v) before its higher ones, so every adjacency list is ascending
-        pairs.sort()
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in pairs:
             adj[u].append(v)
@@ -205,6 +205,7 @@ def _parse_lines(text: str) -> Graph:
         raise GraphFormatError("missing 'p <n> <m>' header")
     if len(edges) != m:
         raise GraphFormatError(f"header declares {m} edges, found {len(edges)}")
+    edges.sort()
     return Graph._from_checked_pairs(n, edges, frozenset(seen))
 
 
@@ -227,6 +228,7 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} not in host graph")
     idx = {old: new for new, old in enumerate(old_ids)}
+    # ascending u, then ascending v in u's sorted list: the pairs come sorted
     sub_edges = [
         (idx[u], idx[v]) for u in old_ids for v in g.adjacency[u] if u < v and v in idx
     ]

@@ -1,8 +1,11 @@
 """Brute-force ground truth for small instances.
 
-Everything here is independent of the solver pipeline: matching numbers come
-from a bitmask subset DP, cover numbers from exhaustive star-forest search,
-and the derived-graph cover number from capacity-bounded assignment.
+Matching numbers come from a bitmask subset DP, cover numbers from
+exhaustive star-forest search, and the derived-graph cover number from
+capacity-bounded assignment, all independent of the solver pipeline.  The
+reference checks :func:`verify_decomposition` and :func:`is_factor_critical`
+run the blossom engine on g minus each vertex: independent of the forest
+labels that ``decompose`` reads, not of the engine.
 """
 
 from __future__ import annotations
@@ -11,8 +14,10 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 
+from .blossom import maximum_matching
 from .dstar import GStar
-from .graph import Graph
+from .gallai_edmonds import GallaiEdmonds
+from .graph import Graph, components, induced_subgraph, neighbor_set
 
 
 @dataclass(frozen=True)
@@ -185,3 +190,39 @@ def _assignable(gs: GStar, k: int) -> bool:
         return False
 
     return all(place(d, set()) for d in gs.d_vertices)
+
+
+def verify_decomposition(g: Graph, ge: GallaiEdmonds) -> bool:
+    """Check the decomposition against the per-vertex definition of D.
+
+    Each membership test recomputes a maximum matching of g minus a vertex,
+    independently of the forest labels used by :func:`decompose`.
+    """
+    nu = len(maximum_matching(g))
+    for v in range(g.n):
+        keep = [w for w in range(g.n) if w != v]
+        sub, _ = induced_subgraph(g, keep)
+        in_d = len(maximum_matching(sub)) == nu
+        if in_d != (v in ge.d):
+            return False
+    if ge.a != neighbor_set(g, ge.d):
+        return False
+    if ge.c != frozenset(range(g.n)) - ge.d - ge.a:
+        return False
+    if ge.d & ge.a or ge.d & ge.c or ge.a & ge.c:
+        return False
+    return True
+
+
+def is_factor_critical(h: Graph) -> bool:
+    """True iff h is connected and h minus any one vertex has a perfect matching."""
+    if h.n == 0 or len(components(h)) != 1:
+        return False
+    if h.n % 2 == 0:
+        return False
+    for v in range(h.n):
+        keep = [w for w in range(h.n) if w != v]
+        sub, _ = induced_subgraph(h, keep)
+        if not maximum_matching(sub).is_perfect_on(sub):
+            return False
+    return True

@@ -25,13 +25,9 @@ from matchcover import (
 )
 from matchcover.blossom import maximum_matching
 from matchcover.dstar import build_gstar
-from matchcover.gallai_edmonds import (
-    decompose,
-    is_factor_critical,
-    verify_decomposition,
-)
+from matchcover.gallai_edmonds import decompose
 from matchcover.cli import main
-from matchcover.oracle import OracleBudget
+from matchcover.oracle import OracleBudget, is_factor_critical, verify_decomposition
 
 BUDGET = OracleBudget(max_vertices=12, max_edges=66)
 

@@ -2,16 +2,14 @@ import random
 
 import pytest
 
-from matchcover import Graph, Matching, brute_nu, random_connected_graph
+from matchcover import Graph, Matching, brute_d_set, brute_nu, random_connected_graph
 from matchcover.blossom import (
-    apply_augmentation,
-    augment,
     maximum_matching,
     maximum_matching_covering,
+    outer_vertices,
 )
-from matchcover.gallai_edmonds import is_factor_critical
 from matchcover import blossom
-from matchcover.oracle import OracleBudget
+from matchcover.oracle import OracleBudget, is_factor_critical
 
 from conftest import (
     complete_graph,
@@ -51,40 +49,45 @@ def test_matching_from_edges_validation():
 
 
 def test_augment_empty_on_k2():
+    """The empty matching of K2 is not maximum; growing it adds the edge."""
     g = Graph.from_edges(2, [(0, 1)])
-    path = augment(g, Matching.empty(2))
-    assert path is not None
-    assert path.vertices == (0, 1)
+    with pytest.raises(ValueError, match="not maximum"):
+        outer_vertices(g, Matching.empty(2))
+    assert maximum_matching_covering(g, Matching.empty(2)).edges() == [(0, 1)]
 
 
 def test_augment_none_when_maximum():
+    """A maximum matching is accepted by the multi-source search and left
+    as it is by growth."""
     g = cycle_graph(3)
     m = Matching.from_edges(g, [(0, 1)])
-    assert augment(g, m) is None
+    assert outer_vertices(g, m) == {0, 1, 2}
+    assert maximum_matching_covering(g, m) == m
 
 
 def test_augment_c5():
     g = cycle_graph(5)
-    assert augment(g, Matching.from_edges(g, [(1, 2), (3, 4)])) is None
-    path = augment(g, Matching.from_edges(g, [(2, 3)]))
-    assert path is not None
-    assert len(path.vertices) % 2 == 0
-    m2 = apply_augmentation(Matching.from_edges(g, [(2, 3)]), path)
-    assert len(m2) == 2 and m2.is_valid_on(g)
+    m = Matching.from_edges(g, [(1, 2), (3, 4)])
+    outer_vertices(g, m)  # maximum: no ValueError
+    assert maximum_matching_covering(g, m) == m
+    m0 = Matching.from_edges(g, [(2, 3)])
+    with pytest.raises(ValueError, match="not maximum"):
+        outer_vertices(g, m0)
+    m2 = maximum_matching_covering(g, m0)
+    assert len(m2) == 2 and m2.is_valid_on(g) and m2.covers([2, 3])
 
 
-def test_apply_augmentation_grows_coverage():
+def test_augmentation_grows_coverage():
+    """Growing a non-maximum matching of P6 adds edges and uncovers no vertex."""
     g = path_graph(6)
-    m = Matching.empty(6)
-    while True:
-        path = augment(g, m)
-        if path is None:
-            break
-        m2 = apply_augmentation(m, path)
-        assert len(m2) == len(m) + 1
-        assert m.vertices() < m2.vertices()
-        m = m2
-    assert len(m) == 3
+    for seed in ([], [(1, 2)], [(2, 3)], [(1, 2), (3, 4)]):
+        m0 = Matching.from_edges(g, seed)
+        with pytest.raises(ValueError, match="not maximum"):
+            outer_vertices(g, m0)
+        m = maximum_matching_covering(g, m0)
+        assert len(m) == 3 > len(m0)
+        assert m0.vertices() <= m.vertices()
+        outer_vertices(g, m)  # maximum: no ValueError
 
 
 def test_covering_p4_forced():
@@ -195,7 +198,7 @@ def test_hungarian_trees_nu_matches_oracle():
         nu = brute_nu(g, BUDGET)
         m = maximum_matching(g)
         assert m.is_valid_on(g) and len(m) == nu
-        assert augment(g, m) is None
+        assert outer_vertices(g, m) == brute_d_set(g, BUDGET)
         # one-edge seeds leave most vertices exposed, so the greedy seed fires
         for e in g.edges:
             seed_m = Matching.from_edges(g, [e])
@@ -204,9 +207,12 @@ def test_hungarian_trees_nu_matches_oracle():
 
 
 def test_augment_finds_path_after_retired_trees():
-    """Roots 2 and 3 grow Hungarian trees before root 4 finds the path 4-5."""
-    g = spider((1, 1, 1, 2))
-    assert augment(g, Matching.from_edges(g, [(0, 1)])).vertices == (4, 5)
+    """Growing {0-1, 4-5}: the greedy seed pairs nothing, root 2 grows a
+    Hungarian tree through 0, then root 3 finds the path 3-4-5-6."""
+    g = spider((1, 1, 4))
+    m0 = Matching.from_edges(g, [(0, 1), (4, 5)])
+    m = maximum_matching_covering(g, m0)
+    assert m.edges() == [(0, 1), (3, 4), (5, 6)]
 
 
 def test_one_search_state_per_pass(monkeypatch):
@@ -227,8 +233,7 @@ def test_one_search_state_per_pass(monkeypatch):
     for run in (
         lambda: maximum_matching(g),
         lambda: maximum_matching_covering(g, Matching.from_edges(g, [(0, 4)])),
-        lambda: augment(g, m),
-        lambda: augment(g, Matching.from_edges(g, [(0, 1)])),
+        lambda: maximum_matching_covering(g, Matching.from_edges(g, [(0, 1)])),
         lambda: blossom.outer_vertices(g, m),
     ):
         built.clear()

@@ -8,13 +8,8 @@ from matchcover import (
     random_connected_graph,
 )
 from matchcover.blossom import maximum_matching
-from matchcover.gallai_edmonds import (
-    GallaiEdmonds,
-    decompose,
-    is_factor_critical,
-    verify_decomposition,
-)
-from matchcover.oracle import OracleBudget
+from matchcover.gallai_edmonds import GallaiEdmonds, decompose
+from matchcover.oracle import OracleBudget, is_factor_critical, verify_decomposition
 
 from conftest import complete_graph, cycle_graph, path_graph
 
