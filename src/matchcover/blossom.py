@@ -4,13 +4,18 @@ The search engine is the classic contraction scheme: grow an alternating
 tree from an exposed vertex, shrink odd cycles onto their base, stop when an
 augmenting path appears or the tree becomes Hungarian.  Contracted blossoms
 are tracked with a union-find structure so one search costs about O(m)
-rather than O(n) per contraction.  Maximization grows one tree per exposed
-root, ascending, with one search state for the whole pass: an augmentation
-resets only the vertices the search touched, and a failed (Hungarian) tree
-is retired for the rest of the pass.  :func:`outer_vertices` runs one
-multi-source search from every exposed vertex and exposes its outer
-labelling for the structure decomposition.  Adjacency lists are sorted, so
-results are deterministic.
+rather than O(n) per contraction.  Maximization first pairs exposed
+vertices greedily, least degree first, each with its exposed neighbour of
+least degree, which leaves few exposed vertices on sparse graphs.  It then
+grows one tree per still-exposed root, ascending, with one search state for
+the whole pass: an augmentation resets only the vertices the search touched,
+and a failed (Hungarian) tree is retired for the rest of the pass.  A caller
+that already knows the maximum size passes it, and the pass stops on
+reaching it instead of growing a failed tree from every exposed vertex left.
+:func:`outer_vertices` runs one multi-source search from every exposed
+vertex and exposes its outer labelling for the structure decomposition.
+Adjacency lists are sorted and ties go to the lower id, so results are
+deterministic.
 """
 
 from __future__ import annotations
@@ -255,22 +260,35 @@ def _flip(mate, path):
         mate[v] = u
 
 
-def _maximize(adj, mate):
+def _maximize(adj, mate, size=None):
     """Grow mate to maximum cardinality; covered vertices stay covered.
 
-    A greedy seed pass matches each exposed vertex to its lowest exposed
-    neighbour; then one tree search runs from every still-exposed vertex,
-    ascending, with one search state for the whole pass.
+    A greedy seed pass visits the exposed vertices in ascending degree (ties
+    to the lower id) and pairs each with its exposed neighbour of least
+    degree (again ties to the lower id), the min-degree heuristic of Karp
+    and Sipser (1981); only the exposed vertices are sorted.  Then one tree
+    search runs from every still-exposed vertex, ascending, with one search
+    state for the whole pass.  Given the maximum cardinality ``size``, the
+    pass stops as soon as the matching has that many edges.
     """
-    for u in range(len(adj)):
+    deg = list(map(len, adj))
+    exposed = sorted((v for v, w in enumerate(mate) if w == -1), key=deg.__getitem__)
+    for u in exposed:
         if mate[u] == -1:
+            best, least = -1, len(adj)
             for v in adj[u]:
-                if mate[v] == -1:
-                    mate[u] = v
-                    mate[v] = u
-                    break
+                if mate[v] == -1 and deg[v] < least:
+                    best, least = v, deg[v]
+            if best != -1:
+                mate[u] = best
+                mate[best] = u
+    roots = sorted(v for v in exposed if mate[v] == -1)
+    free = len(roots)
+    stop = -1 if size is None else len(adj) - 2 * size
     search = _Search(adj, mate)
-    for root in range(len(adj)):
+    for root in roots:
+        if free <= stop:
+            break
         if mate[root] != -1:
             continue
         end = search.run((root,))
@@ -279,6 +297,7 @@ def _maximize(adj, mate):
         else:
             _flip(mate, _path_vertices(mate, search.p, end))
             search.reset()
+            free -= 2
 
 
 def maximum_matching(g: Graph) -> Matching:
@@ -288,18 +307,23 @@ def maximum_matching(g: Graph) -> Matching:
     return Matching(mate)
 
 
-def maximum_matching_covering(g: Graph, m0: Matching) -> Matching:
+def maximum_matching_covering(
+    g: Graph, m0: Matching, size: int | None = None
+) -> Matching:
     """A maximum matching whose covered set contains V(m0).
 
     The greedy seed only pairs two exposed vertices and augmentation never
     uncovers a covered vertex, so growing m0 to maximum cardinality
-    preserves its coverage.  m0 must be a matching of g, as one built by
+    preserves its coverage.  Given the maximum matching size of g, growth
+    stops once the matching has ``size`` edges instead of growing a failed
+    tree from every exposed vertex left; a larger ``size`` disables the
+    stop.  m0 must be a matching of g, as one built by
     :meth:`Matching.from_edges` is; only its vertex count is checked here.
     """
     if m0.n != g.n:
         raise ValueError("matching is not valid on this graph")
     mate = list(m0.mates)
-    _maximize(g.adjacency, mate)
+    _maximize(g.adjacency, mate, size)
     return Matching(mate)
 
 

@@ -154,7 +154,12 @@ def cmd_bench(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         start = time.perf_counter()
-        result = solve(g)
+        try:
+            result = solve(g)
+        except (InternalInvariantError, ValueError) as exc:
+            # the generated graph is connected, so any failure is the solver's
+            print(f"internal error: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
         elapsed = time.perf_counter() - start
         print(f"{n},{m},{elapsed:.3f},{result.transforms}")
     return EXIT_OK

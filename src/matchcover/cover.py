@@ -120,9 +120,11 @@ def assemble(g: Graph, ge: GallaiEdmonds, stars: dict[int, list[int]]) -> Matchi
     ``ge.max_matching`` with no end in A plus each star's first edge; these
     are vertex-disjoint, since a D*-vertex has only A-neighbours.  Growth
     never uncovers a vertex, so level 1 keeps covering C and every star's
-    first edge.  Level 2 merges a rescue edge inside its D-component for
-    each D-vertex level 1 misses with each star's next edge; higher levels
-    take one further edge per star.
+    first edge.  Growth stops at |m| edges, m being maximum (``decompose``'s
+    search certifies it); a shorter level 1 is an internal error.  Level 2
+    merges a rescue edge inside its D-component for each D-vertex level 1
+    misses with each star's next edge; higher levels take one further edge
+    per star.
     """
     a_set, c_set, d_set, m = ge.a, ge.c, ge.d, ge.max_matching
     if not all(m.mate(v) in c_set for v in c_set):
@@ -134,7 +136,7 @@ def assemble(g: Graph, ge: GallaiEdmonds, stars: dict[int, list[int]]) -> Matchi
         seed = Matching.from_edges(g, seed_edges)
     except ValueError as exc:
         raise InternalInvariantError(f"level-1 matching is inconsistent: {exc}")
-    m1 = maximum_matching_covering(g, seed)
+    m1 = maximum_matching_covering(g, seed, len(m))
     if len(m1) != len(m):
         raise InternalInvariantError("level-1 matching is not maximum")
 

@@ -8,7 +8,8 @@ from matchcover.blossom import (
     maximum_matching_covering,
     outer_vertices,
 )
-from matchcover import blossom
+from matchcover import blossom, cover
+from matchcover.cover import solve
 from matchcover.oracle import OracleBudget, is_factor_critical
 
 from conftest import (
@@ -239,3 +240,100 @@ def test_one_search_state_per_pass(monkeypatch):
         built.clear()
         run()
         assert built == [g.n]
+
+
+def counting_search(monkeypatch):
+    """Patch in a search engine that logs each tree search and retired tree."""
+    log = []
+
+    class Counting(blossom._Search):
+        __slots__ = ()
+
+        def run(self, roots):
+            log.append("run")
+            return super().run(roots)
+
+        def retire(self):
+            log.append("retire")
+            super().retire()
+
+    monkeypatch.setattr(blossom, "_Search", Counting)
+    return log
+
+
+def lowest_id_greedy_exposed(g):
+    """Vertices the former seed (each exposed vertex, ascending, takes its
+    lowest exposed neighbour) leaves exposed."""
+    mate = [-1] * g.n
+    for u in range(g.n):
+        if mate[u] == -1:
+            v = next((v for v in g.adjacency[u] if mate[v] == -1), -1)
+            if v != -1:
+                mate[u], mate[v] = v, u
+    return [v for v in range(g.n) if mate[v] == -1]
+
+
+def test_degree_seed_leaves_few_searches(monkeypatch):
+    """The least-degree seed leaves 17 to 20 tree searches on these m = 3n
+    random graphs with n = 1000; the lowest-id seed left 55 to 71."""
+    log = counting_search(monkeypatch)
+    for s in range(5):
+        g = random_connected_graph(1000, m=3000, seed=s)
+        log.clear()
+        m = maximum_matching(g)
+        assert log.count("run") <= 30
+        assert m.is_valid_on(g)
+        outer_vertices(g, m)  # maximum: no ValueError
+        assert maximum_matching(g) == m
+
+
+def test_degree_seed_matches_relabelled_path_without_search(monkeypatch):
+    """On P4 labelled 2-0-1-3 and P6 labelled 3-1-0-2-4-5 the lowest-id
+    seed takes the middle edge and strands both ends; the least-degree seed
+    starts from the ends and is perfect at once."""
+    log = counting_search(monkeypatch)
+    for order in ([2, 0, 1, 3], [3, 1, 0, 2, 4, 5]):
+        g = Graph.from_edges(len(order), list(zip(order, order[1:])))
+        assert lowest_id_greedy_exposed(g)
+        log.clear()
+        m = maximum_matching(g)
+        assert m.is_perfect_on(g)
+        assert log == []
+
+
+def test_cardinality_stop_skips_failed_trees_in_assembly(monkeypatch):
+    """Odd n leaves an exposed vertex in every maximum matching.  Level 1
+    stops at |M| edges, so assembly grows no tree that is bound to fail;
+    without the size every exposed vertex left is a failed root."""
+    log = counting_search(monkeypatch)
+    inside = []
+    assemble = cover.assemble
+
+    def logged_assemble(*args):
+        inside.append(len(log))
+        out = assemble(*args)
+        inside.append(len(log))
+        return out
+
+    monkeypatch.setattr(cover, "assemble", logged_assemble)
+    for s in range(3):
+        g = random_connected_graph(1001, m=3003, seed=s)
+        inside.clear()
+        res = solve(g)
+        assert res.branch == "gstar"
+        assert "retire" not in log[inside[0]:inside[1]]
+        nu = len(maximum_matching(g))
+        for size, retired in ((nu, False), (None, True)):
+            log.clear()
+            grown = maximum_matching_covering(g, Matching.empty(g.n), size)
+            assert len(grown) == nu and ("retire" in log) == retired
+
+
+def test_covering_size_above_nu_grows_to_maximum():
+    """A size larger than the matching number only disables the stop."""
+    for g in (path_graph(5), cycle_graph(7), star_graph(4), petersen_graph()):
+        nu = brute_nu(g, BUDGET)
+        for size in (nu, nu + 1, g.n):
+            m = maximum_matching_covering(g, Matching.empty(g.n), size)
+            assert len(m) == nu
+            outer_vertices(g, m)  # maximum: no ValueError

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+import matchcover.cli
 import matchcover.cover
-from matchcover import blossom
+from matchcover import InternalInvariantError, blossom
 from matchcover.cli import (
     EXIT_INTERNAL,
     EXIT_MISMATCH,
@@ -213,3 +214,22 @@ def test_bench_bad_sizes_exit_2(capsys, sizes):
     assert code == EXIT_USAGE
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_bench_solver_failure_exit_4(capsys, monkeypatch):
+    """A solver failure during bench is an internal error, not a traceback."""
+
+    def broken_invariant(g):
+        raise InternalInvariantError("level-1 matching is not maximum")
+
+    def broken_value(g):
+        raise ValueError("switching path does not alternate")
+
+    for broken in (broken_invariant, broken_value):
+        monkeypatch.setattr(matchcover.cli, "solve", broken)
+        code = main(["bench", "--sizes", "40", "--seed", "0"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL
+        assert captured.out == "n,m,seconds,transforms\n"
+        assert captured.err.startswith("internal error: ")
+        assert "Traceback" not in captured.err

@@ -215,6 +215,22 @@ def test_level_one_size_matches_networkx():
     assert branches == {"perfect", "factor_critical", "gstar"}
 
 
+def test_short_level_one_is_rejected(monkeypatch):
+    """Level 1 stops growing at |M| edges; one that comes back short is an
+    internal error.  Two triangles joined through vertex 6: A = {6} has no
+    star, so level 1's seed holds one edge of each triangle, below |M| = 3."""
+    g = Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                             (0, 6), (3, 6)])
+    assert solve(g).branch == "gstar"
+
+    def seed_only(g, m0, size=None):
+        return m0
+
+    monkeypatch.setattr(matchcover.cover, "maximum_matching_covering", seed_only)
+    with pytest.raises(InternalInvariantError, match="level-1 matching is not maximum"):
+        solve(g)
+
+
 @pytest.mark.parametrize(
     "g,branch",
     [
