@@ -1,34 +1,24 @@
 """Maximum matching in general graphs via blossom shrinking.
 
-The search engine is the classic contraction scheme: grow an alternating
-tree from an exposed vertex, shrink odd cycles onto their base, stop when an
-augmenting path appears or the tree becomes Hungarian.  Contracted blossoms
-are tracked with a union-find structure so one search costs about O(m)
-rather than O(n) per contraction.  Maximization first pairs exposed
-vertices greedily, least degree first, each with its exposed neighbour of
-least degree, which leaves few exposed vertices on sparse graphs.  It then
-grows one tree per still-exposed root, ascending, with one search state for
-the whole pass: an augmentation resets only the vertices the search touched,
-and a failed (Hungarian) tree is retired for the rest of the pass.  A caller
-that already knows the maximum size passes it, and the pass stops on
-reaching it instead of growing a failed tree from every exposed vertex left.
-:func:`outer_vertices` runs one multi-source search from every exposed
-vertex and exposes its outer labelling for the structure decomposition.
-Adjacency lists are sorted and ties go to the lower id, so results are
-deterministic.
+Edmonds' contraction scheme, run in phases: each phase grows alternating
+trees from every exposed vertex at once, shrinks odd cycles onto their
+base, and augments where two trees meet.  Contracted blossoms are tracked
+with a union-find structure so a phase costs about O(m) rather than O(n)
+per contraction.  The first phase that augments nothing leaves a Hungarian
+forest, whose inner vertices are the Gallai-Edmonds set A that
+:func:`~matchcover.gallai_edmonds.decompose` reads.  Adjacency lists are
+sorted and ties go to the lower id, so results are deterministic.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .errors import InternalInvariantError
 from .graph import Graph
 
 _UNLABELED = 0
 _OUTER = 1
 _INNER = 2
-_RETIRED = 3
 
 
 class Matching:
@@ -72,9 +62,6 @@ class Matching:
     def vertices(self) -> frozenset[int]:
         return frozenset(v for v, w in enumerate(self._mate) if w != -1)
 
-    def covers(self, vs) -> bool:
-        return all(self._mate[v] != -1 for v in vs)
-
     def is_perfect_on(self, g: Graph) -> bool:
         return g.n == len(self._mate) and all(w != -1 for w in self._mate)
 
@@ -103,21 +90,18 @@ class Matching:
         return f"Matching({self.edges()!r})"
 
 
-class _TreesCrossed(InternalInvariantError):
-    """Two alternating trees met, so an augmenting path joins their roots."""
-
-
 class _Search:
-    """Alternating-tree search state, allocated once per pass.
+    """Alternating-forest search state, allocated once per pass.
 
-    Each search records the vertices it labels, so :meth:`reset` and
-    :meth:`retire` cost only the size of its tree.  Blossom bases are merged
-    in a union-find whose representative is forced to the blossom base, so
-    base lookups stay near O(1) amortized.
+    A phase records the vertices it labels, so :meth:`reset` costs only the
+    size of its forest.  Blossom bases are merged in a union-find whose
+    representative is forced to the blossom base, so base lookups stay near
+    O(1) amortized.  ``root`` names each labelled vertex's tree; a tree is
+    dead once its root is matched, which only an augmentation does.
     """
 
-    __slots__ = ("adj", "mate", "parent", "label", "p", "queue", "touched",
-                 "mark", "stamp")
+    __slots__ = ("adj", "mate", "parent", "label", "p", "root", "queue",
+                 "touched", "mark", "stamp")
 
     def __init__(self, adj, mate):
         n = len(adj)
@@ -126,6 +110,7 @@ class _Search:
         self.parent = list(range(n))
         self.label = [_UNLABELED] * n
         self.p = [-1] * n
+        self.root = [-1] * n
         self.queue = deque()
         self.touched = []
         self.mark = [0] * n
@@ -141,6 +126,7 @@ class _Search:
         return root
 
     def _lowest_common_base(self, a, b):
+        # a and b lie in one tree, so b's walk meets a's by the root at latest
         mate, p, mark, find = self.mate, self.p, self.mark, self.find
         self.stamp += 1
         stamp = self.stamp
@@ -152,10 +138,6 @@ class _Search:
             a = find(p[mate[a]])
         b = find(b)
         while mark[b] != stamp:
-            if mate[b] == -1:
-                raise _TreesCrossed(
-                    "alternating trees crossed; matching is not maximum"
-                )
             b = find(p[mate[b]])
         return b
 
@@ -184,80 +166,88 @@ class _Search:
         for x in merge:
             parent[self.find(x)] = b
 
-    def run(self, roots):
-        """Grow trees from the given exposed roots.
+    def _augment(self, v, to):
+        """Flip the path root(v)..v-to..root(to) joining two trees."""
+        mate, p = self.mate, self.p
+        for x in (v, to):
+            # x, mate[x], p[mate[x]], ... is x's even alternating path to
+            # its root, blossoms routed through p; rematch its pairs
+            y = mate[x]
+            while y != -1:
+                z = p[y]
+                nxt = mate[z]
+                mate[y] = z
+                mate[z] = y
+                y = nxt
+        mate[v] = to
+        mate[to] = v
 
-        Returns the far end of an augmenting path as soon as one is found,
-        else None after the forest is exhausted.  Labels stay in place until
-        :meth:`reset` or :meth:`retire`.
+    def phase(self, roots, stop):
+        """Grow one forest from all the exposed ``roots`` at once.
+
+        Where two live trees meet on an outer-outer edge, augment along
+        root1..v-w..root2; both trees stay dead for the rest of the phase.
+        Return the number of augmentations, early once an augmentation
+        leaves at most ``stop`` live trees or fewer than two.  A phase that
+        augments nothing has grown the Hungarian forest (Edmonds 1965), and
+        its labels stay in place until :meth:`reset`.
         """
-        mate, label, p = self.mate, self.label, self.p
+        mate, label, p, root = self.mate, self.label, self.p, self.root
         queue, touched, find = self.queue, self.touched, self.find
         for r in roots:
             label[r] = _OUTER
-            touched.append(r)
-            queue.append(r)
+            root[r] = r
+        touched.extend(roots)
+        queue.extend(roots)
+        live = len(roots)
+        augmented = 0
         while queue:
             v = queue.popleft()
+            rv = root[v]
+            if mate[rv] != -1:
+                continue
             for to in self.adj[v]:
                 lt = label[to]
                 if lt == _UNLABELED:
-                    p[to] = v
-                    touched.append(to)
+                    # every exposed vertex is a root, so to is matched, and
+                    # a matched pair is labelled or unlabelled as a whole
                     w = mate[to]
-                    if w == -1:
-                        queue.clear()
-                        return to
+                    p[to] = v
                     label[to] = _INNER
                     label[w] = _OUTER
+                    root[to] = root[w] = rv
+                    touched.append(to)
                     touched.append(w)
                     queue.append(w)
-                # inner and retired vertices are skipped
-                elif lt == _OUTER and mate[v] != to and find(v) != find(to):
-                    self._contract(v, to)
-        return None
+                elif lt == _OUTER:
+                    rt = root[to]
+                    if rt == rv:
+                        if mate[v] != to and find(v) != find(to):
+                            self._contract(v, to)
+                    elif mate[rt] == -1:
+                        self._augment(v, to)
+                        augmented += 1
+                        live -= 2
+                        if live <= stop or live < 2:
+                            queue.clear()
+                            return augmented
+                        break
+                # inner vertices and dead trees are skipped
+        return augmented
+
+    def inner(self):
+        """The inner vertices of the last phase's forest."""
+        label = self.label
+        return [v for v in self.touched if label[v] == _INNER]
 
     def reset(self):
-        """Return the vertices of the last search to their unlabeled state."""
+        """Return the vertices of the last phase to their unlabeled state."""
         label, parent, p = self.label, self.parent, self.p
         for v in self.touched:
             label[v] = _UNLABELED
             parent[v] = v
             p[v] = -1
         self.touched.clear()
-
-    def retire(self):
-        """Drop the last (failed) search's tree for the rest of the pass.
-
-        A Hungarian tree lies on no later augmenting path (Edmonds 1965), so
-        the scan may skip its vertices from now on.
-        """
-        label = self.label
-        for v in self.touched:
-            label[v] = _RETIRED
-        self.touched.clear()
-
-
-def _path_vertices(mate, p, end):
-    """Walk parent links from the augmenting path's far end back to the root."""
-    seq = [end]
-    v = end
-    while True:
-        pv = p[v]
-        seq.append(pv)
-        nxt = mate[pv]
-        if nxt == -1:
-            break
-        seq.append(nxt)
-        v = nxt
-    return seq
-
-
-def _flip(mate, path):
-    for i in range(0, len(path), 2):
-        u, v = path[i], path[i + 1]
-        mate[u] = v
-        mate[v] = u
 
 
 def _maximize(adj, mate, size=None):
@@ -266,10 +256,13 @@ def _maximize(adj, mate, size=None):
     A greedy seed pass visits the exposed vertices in ascending degree (ties
     to the lower id) and pairs each with its exposed neighbour of least
     degree (again ties to the lower id), the min-degree heuristic of Karp
-    and Sipser (1981); only the exposed vertices are sorted.  Then one tree
-    search runs from every still-exposed vertex, ascending, with one search
-    state for the whole pass.  Given the maximum cardinality ``size``, the
-    pass stops as soon as the matching has that many edges.
+    and Sipser (1981); only the exposed vertices are sorted.  Then phases,
+    as in Hopcroft and Karp (1973), each grow a forest from every
+    still-exposed vertex, ascending, with one search state for the whole
+    pass.  The pass ends with the first phase that augments nothing, whose
+    Hungarian forest the returned search holds, or with no vertex exposed,
+    when it holds an empty forest.  Given the maximum cardinality ``size``,
+    the pass instead stops as soon as the matching has that many edges.
     """
     deg = list(map(len, adj))
     exposed = sorted((v for v, w in enumerate(mate) if w == -1), key=deg.__getitem__)
@@ -283,21 +276,12 @@ def _maximize(adj, mate, size=None):
                 mate[u] = best
                 mate[best] = u
     roots = sorted(v for v in exposed if mate[v] == -1)
-    free = len(roots)
-    stop = -1 if size is None else len(adj) - 2 * size
+    stop = 0 if size is None else len(adj) - 2 * size
     search = _Search(adj, mate)
-    for root in roots:
-        if free <= stop:
-            break
-        if mate[root] != -1:
-            continue
-        end = search.run((root,))
-        if end is None:
-            search.retire()
-        else:
-            _flip(mate, _path_vertices(mate, search.p, end))
-            search.reset()
-            free -= 2
+    while len(roots) > stop and search.phase(roots, stop):
+        search.reset()
+        roots = [v for v in roots if mate[v] == -1]
+    return search
 
 
 def maximum_matching(g: Graph) -> Matching:
@@ -315,9 +299,9 @@ def maximum_matching_covering(
     The greedy seed only pairs two exposed vertices and augmentation never
     uncovers a covered vertex, so growing m0 to maximum cardinality
     preserves its coverage.  Given the maximum matching size of g, growth
-    stops once the matching has ``size`` edges instead of growing a failed
-    tree from every exposed vertex left; a larger ``size`` disables the
-    stop.  m0 must be a matching of g, as one built by
+    stops once the matching has ``size`` edges instead of growing a last,
+    Hungarian forest from every exposed vertex left; a larger ``size``
+    disables the stop.  m0 must be a matching of g, as one built by
     :meth:`Matching.from_edges` is; only its vertex count is checked here.
     """
     if m0.n != g.n:
@@ -325,27 +309,3 @@ def maximum_matching_covering(
     mate = list(m0.mates)
     _maximize(g.adjacency, mate, size)
     return Matching(mate)
-
-
-def outer_vertices(g: Graph, m: Matching) -> frozenset[int]:
-    """Vertices reachable from an exposed vertex by an even alternating path.
-
-    Blossom interiors count as reachable.  One multi-source search grows a
-    tree from every exposed vertex; two trees meeting means an augmenting
-    path exists, and m is rejected with ValueError as not maximum.
-    """
-    mate = list(m.mates)
-    search = _Search(g.adjacency, mate)
-    roots = [v for v in range(g.n) if mate[v] == -1]
-    try:
-        end = search.run(roots)
-    except _TreesCrossed as exc:
-        raise ValueError(
-            "matching is not maximum: the alternating trees of two exposed "
-            "vertices meet"
-        ) from exc
-    if end is not None:
-        raise InternalInvariantError(
-            f"exposed vertex {end} left out of the multi-source search"
-        )
-    return frozenset(v for v in range(g.n) if search.label[v] == _OUTER)

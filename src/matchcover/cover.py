@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .blossom import Matching, maximum_matching, maximum_matching_covering
+from .blossom import Matching, maximum_matching_covering
 from .dstar import SwitchingPath, build_gstar, initial_cover, optimize
 from .errors import InternalInvariantError, NoCoverError
 from .gallai_edmonds import GallaiEdmonds, decompose
@@ -77,8 +77,8 @@ def solve(
 
 
 def _solve_cases(g, trace):
-    m = maximum_matching(g)
-    ge = decompose(g, m)
+    ge = decompose(g)
+    m = ge.max_matching
     if not ge.d:
         return SolveResult(
             cover=MatchingCover((m,)),
@@ -120,11 +120,11 @@ def assemble(g: Graph, ge: GallaiEdmonds, stars: dict[int, list[int]]) -> Matchi
     ``ge.max_matching`` with no end in A plus each star's first edge; these
     are vertex-disjoint, since a D*-vertex has only A-neighbours.  Growth
     never uncovers a vertex, so level 1 keeps covering C and every star's
-    first edge.  Growth stops at |m| edges, m being maximum (``decompose``'s
-    search certifies it); a shorter level 1 is an internal error.  Level 2
-    merges a rescue edge inside its D-component for each D-vertex level 1
-    misses with each star's next edge; higher levels take one further edge
-    per star.
+    first edge.  Growth stops at |m| edges, m being maximum (``decompose``
+    certifies it by the Tutte-Berge formula); a shorter level 1 is an
+    internal error.  Level 2 merges a rescue edge inside its D-component for
+    each D-vertex level 1 misses with each star's next edge; higher levels
+    take one further edge per star.
     """
     a_set, c_set, d_set, m = ge.a, ge.c, ge.d, ge.max_matching
     if not all(m.mate(v) in c_set for v in c_set):

@@ -1,11 +1,12 @@
-"""Gallai-Edmonds decomposition (D, A, C) from a maximum matching."""
+"""Gallai-Edmonds decomposition (D, A, C), certified by the Tutte-Berge formula."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blossom import Matching, outer_vertices
-from .graph import Graph, neighbor_set
+from .blossom import Matching, _maximize
+from .errors import InternalInvariantError
+from .graph import Graph
 
 
 @dataclass(frozen=True)
@@ -25,17 +26,49 @@ class GallaiEdmonds:
     d_star: frozenset[int]
 
 
-def decompose(g: Graph, m: Matching) -> GallaiEdmonds:
-    """Decompose g using a maximum matching m of g.
+def decompose(g: Graph) -> GallaiEdmonds:
+    """Decompose g, computing a maximum matching of g on the way.
 
-    m must be a matching of g, such as :func:`maximum_matching` returns; it
-    is not validated here.  D is read off the final alternating forest as
-    the outer-labelled vertices (blossom interiors included).  The same
-    multi-source search rejects m if it is not maximum: two of its trees
-    meet.  D* is read from adjacency: the D-vertices with no neighbour in D.
+    One blossom pass grows the matching; its last forest is Hungarian, and
+    the forest's inner vertices are A (Lovász and Plummer, *Matching
+    Theory*, ch. 3).  One traversal of G - A reads the rest: its odd
+    components are the D-components, the singletons among them D*, and its
+    even components make up C.  The traversal also certifies the matching
+    without trusting the search: by the Tutte-Berge formula it is maximum
+    iff it leaves exactly odd(G - A) - |A| vertices exposed.  Otherwise
+    :class:`InternalInvariantError` is raised.
     """
-    d = outer_vertices(g, m)
-    a = neighbor_set(g, d)
-    c = frozenset(range(g.n)) - d - a
-    d_star = frozenset(v for v in d if d.isdisjoint(g.adjacency[v]))
-    return GallaiEdmonds(d, a, c, m, d_star)
+    n, adj = g.n, g.adjacency
+    mate = [-1] * n
+    a = _maximize(adj, mate).inner()
+    seen = [False] * n
+    for v in a:
+        seen[v] = True
+    d, c, d_star = [], [], []
+    odd = 0
+    for s in range(n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        comp = [s]
+        for v in comp:  # grows while it is read: a breadth-first search
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+        if len(comp) % 2:
+            odd += 1
+            d += comp
+            if len(comp) == 1:
+                d_star.append(s)
+        else:
+            c += comp
+    exposed = mate.count(-1)
+    if exposed != odd - len(a):
+        raise InternalInvariantError(
+            f"Tutte-Berge check fails: {exposed} exposed vertices, {odd} odd"
+            f" components in G - A, |A| = {len(a)}; the matching is not maximum"
+        )
+    return GallaiEdmonds(
+        frozenset(d), frozenset(a), frozenset(c), Matching(mate), frozenset(d_star)
+    )

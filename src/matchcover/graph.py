@@ -235,19 +235,6 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
     return Graph._from_checked_pairs(len(old_ids), sub_edges), old_ids
 
 
-def neighbor_set(g: Graph, s: Iterable[int]) -> frozenset[int]:
-    """Vertices outside ``s`` adjacent to at least one vertex of ``s``."""
-    inside = frozenset(s)
-    out: set[int] = set()
-    for v in inside:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} not in host graph")
-        for w in g.adjacency[v]:
-            if w not in inside:
-                out.add(w)
-    return frozenset(out)
-
-
 def components(g: Graph) -> list[tuple[int, ...]]:
     """Connected components as sorted vertex tuples, ordered by smallest member."""
     seen = [False] * g.n

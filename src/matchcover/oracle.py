@@ -5,7 +5,8 @@ exhaustive star-forest search, and the derived-graph cover number from
 capacity-bounded assignment, all independent of the solver pipeline.  The
 reference checks :func:`verify_decomposition` and :func:`is_factor_critical`
 run the blossom engine on g minus each vertex: independent of the forest
-labels that ``decompose`` reads, not of the engine.
+that ``decompose`` reads A from and of its traversal of G - A, not of the
+engine.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable
 
 from .blossom import maximum_matching
 from .dstar import GStar
 from .gallai_edmonds import GallaiEdmonds
-from .graph import Graph, components, induced_subgraph, neighbor_set
+from .graph import Graph, components, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -192,11 +194,24 @@ def _assignable(gs: GStar, k: int) -> bool:
     return all(place(d, set()) for d in gs.d_vertices)
 
 
+def neighbor_set(g: Graph, s: Iterable[int]) -> frozenset[int]:
+    """Vertices outside ``s`` adjacent to at least one vertex of ``s``."""
+    inside = frozenset(s)
+    out: set[int] = set()
+    for v in inside:
+        if not (0 <= v < g.n):
+            raise ValueError(f"vertex {v} not in host graph")
+        for w in g.adjacency[v]:
+            if w not in inside:
+                out.add(w)
+    return frozenset(out)
+
+
 def verify_decomposition(g: Graph, ge: GallaiEdmonds) -> bool:
     """Check the decomposition against the per-vertex definition of D.
 
     Each membership test recomputes a maximum matching of g minus a vertex,
-    independently of the forest labels used by :func:`decompose`.
+    independently of how :func:`decompose` reads D and A.
     """
     nu = len(maximum_matching(g))
     for v in range(g.n):

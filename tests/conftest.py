@@ -1,6 +1,6 @@
-"""Shared graph builders for the test suite."""
+"""Shared graph builders and engine faults for the test suite."""
 
-from matchcover import Graph
+from matchcover import Graph, blossom, gallai_edmonds
 
 
 def path_graph(n):
@@ -26,3 +26,19 @@ def petersen_graph():
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return Graph.from_edges(10, outer + spokes + inner)
+
+
+def unmatch_one_pair(patch, index=0):
+    """Make ``decompose``'s blossom pass drop one matched pair (number
+    ``index``, modulo the pair count) after it has grown its last forest,
+    which still names A.  ``patch`` is a pytest monkeypatch."""
+    maximize = blossom._maximize
+
+    def short(adj, mate, size=None):
+        search = maximize(adj, mate, size)
+        pairs = [(u, w) for u, w in enumerate(mate) if u < w]
+        u, w = pairs[index % len(pairs)]
+        mate[u] = mate[w] = -1
+        return search
+
+    patch.setattr(gallai_edmonds, "_maximize", short)

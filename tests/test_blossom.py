@@ -3,13 +3,10 @@ import random
 import pytest
 
 from matchcover import Graph, Matching, brute_d_set, brute_nu, random_connected_graph
-from matchcover.blossom import (
-    maximum_matching,
-    maximum_matching_covering,
-    outer_vertices,
-)
+from matchcover.blossom import maximum_matching, maximum_matching_covering
 from matchcover import blossom, cover
 from matchcover.cover import solve
+from matchcover.gallai_edmonds import decompose
 from matchcover.oracle import OracleBudget, is_factor_critical
 
 from conftest import (
@@ -52,43 +49,38 @@ def test_matching_from_edges_validation():
 def test_augment_empty_on_k2():
     """The empty matching of K2 is not maximum; growing it adds the edge."""
     g = Graph.from_edges(2, [(0, 1)])
-    with pytest.raises(ValueError, match="not maximum"):
-        outer_vertices(g, Matching.empty(2))
+    assert len(decompose(g).max_matching) == 1
     assert maximum_matching_covering(g, Matching.empty(2)).edges() == [(0, 1)]
 
 
 def test_augment_none_when_maximum():
-    """A maximum matching is accepted by the multi-source search and left
-    as it is by growth."""
+    """A maximum matching is left as it is by growth."""
     g = cycle_graph(3)
     m = Matching.from_edges(g, [(0, 1)])
-    assert outer_vertices(g, m) == {0, 1, 2}
+    assert decompose(g).d == {0, 1, 2}
     assert maximum_matching_covering(g, m) == m
 
 
 def test_augment_c5():
     g = cycle_graph(5)
     m = Matching.from_edges(g, [(1, 2), (3, 4)])
-    outer_vertices(g, m)  # maximum: no ValueError
+    assert len(m) == len(decompose(g).max_matching)
     assert maximum_matching_covering(g, m) == m
     m0 = Matching.from_edges(g, [(2, 3)])
-    with pytest.raises(ValueError, match="not maximum"):
-        outer_vertices(g, m0)
+    assert len(m0) < len(decompose(g).max_matching)
     m2 = maximum_matching_covering(g, m0)
-    assert len(m2) == 2 and m2.is_valid_on(g) and m2.covers([2, 3])
+    assert len(m2) == 2 and m2.is_valid_on(g) and {2, 3} <= m2.vertices()
 
 
 def test_augmentation_grows_coverage():
     """Growing a non-maximum matching of P6 adds edges and uncovers no vertex."""
     g = path_graph(6)
+    nu = len(decompose(g).max_matching)
     for seed in ([], [(1, 2)], [(2, 3)], [(1, 2), (3, 4)]):
         m0 = Matching.from_edges(g, seed)
-        with pytest.raises(ValueError, match="not maximum"):
-            outer_vertices(g, m0)
         m = maximum_matching_covering(g, m0)
-        assert len(m) == 3 > len(m0)
+        assert len(m) == nu == 3 > len(m0)
         assert m0.vertices() <= m.vertices()
-        outer_vertices(g, m)  # maximum: no ValueError
 
 
 def test_covering_p4_forced():
@@ -106,7 +98,7 @@ def test_covering_k4_keeps_seed_vertices():
     g = complete_graph(4)
     m = maximum_matching_covering(g, Matching.from_edges(g, [(0, 2)]))
     assert m.is_perfect_on(g)
-    assert m.covers([0, 2])
+    assert {0, 2} <= m.vertices()
 
 
 def test_covering_rejects_invalid_matching():
@@ -193,23 +185,25 @@ def hungarian_family():
 
 
 def test_hungarian_trees_nu_matches_oracle():
-    """Retired trees must not hide an augmenting path: many exposed roots
-    fail on stars, odd-legged spiders and odd cycles hanging off a path."""
+    """Dead and Hungarian trees must not hide an augmenting path: many
+    exposed roots fail on stars, odd-legged spiders and odd cycles hanging
+    off a path."""
     for g in hungarian_family():
         nu = brute_nu(g, BUDGET)
         m = maximum_matching(g)
         assert m.is_valid_on(g) and len(m) == nu
-        assert outer_vertices(g, m) == brute_d_set(g, BUDGET)
+        assert decompose(g).d == brute_d_set(g, BUDGET)
         # one-edge seeds leave most vertices exposed, so the greedy seed fires
         for e in g.edges:
             seed_m = Matching.from_edges(g, [e])
             grown = maximum_matching_covering(g, seed_m)
-            assert len(grown) == nu and grown.covers(e)
+            assert len(grown) == nu and set(e) <= grown.vertices()
 
 
-def test_augment_finds_path_after_retired_trees():
-    """Growing {0-1, 4-5}: the greedy seed pairs nothing, root 2 grows a
-    Hungarian tree through 0, then root 3 finds the path 3-4-5-6."""
+def test_augment_joins_two_trees_past_a_hungarian_one():
+    """Growing {0-1, 4-5}: the greedy seed pairs nothing, and one phase grows
+    trees from 2, 3 and 6.  Root 2's tree through 0 is Hungarian; the trees
+    of 3 and 6 meet on the edge 5-6, which gives the path 3-4-5-6."""
     g = spider((1, 1, 4))
     m0 = Matching.from_edges(g, [(0, 1), (4, 5)])
     m = maximum_matching_covering(g, m0)
@@ -217,8 +211,9 @@ def test_augment_finds_path_after_retired_trees():
 
 
 def test_one_search_state_per_pass(monkeypatch):
-    """Each pass allocates its search arrays once, however many roots it
-    grows trees from; per-root allocation is quadratic on sparse graphs."""
+    """Each pass allocates its search arrays once, however many phases and
+    roots it grows forests from; per-root allocation is quadratic on sparse
+    graphs.  The decomposition's pass is the solver's only maximization."""
     built = []
 
     class Counting(blossom._Search):
@@ -229,33 +224,30 @@ def test_one_search_state_per_pass(monkeypatch):
             super().__init__(adj, mate)
 
     g = spider((1, 1, 1, 2, 1, 1))
-    m = maximum_matching(g)
     monkeypatch.setattr(blossom, "_Search", Counting)
     for run in (
         lambda: maximum_matching(g),
         lambda: maximum_matching_covering(g, Matching.from_edges(g, [(0, 4)])),
         lambda: maximum_matching_covering(g, Matching.from_edges(g, [(0, 1)])),
-        lambda: blossom.outer_vertices(g, m),
+        lambda: decompose(g),
     ):
         built.clear()
         run()
         assert built == [g.n]
 
 
-def counting_search(monkeypatch):
-    """Patch in a search engine that logs each tree search and retired tree."""
+def counting_phases(monkeypatch):
+    """Patch in a search engine that logs each phase as (roots,
+    augmentations, vertices labelled)."""
     log = []
 
     class Counting(blossom._Search):
         __slots__ = ()
 
-        def run(self, roots):
-            log.append("run")
-            return super().run(roots)
-
-        def retire(self):
-            log.append("retire")
-            super().retire()
+        def phase(self, roots, stop):
+            augmented = super().phase(roots, stop)
+            log.append((len(roots), augmented, len(self.touched)))
+            return augmented
 
     monkeypatch.setattr(blossom, "_Search", Counting)
     return log
@@ -274,24 +266,30 @@ def lowest_id_greedy_exposed(g):
 
 
 def test_degree_seed_leaves_few_searches(monkeypatch):
-    """The least-degree seed leaves 17 to 20 tree searches on these m = 3n
-    random graphs with n = 1000; the lowest-id seed left 55 to 71."""
-    log = counting_search(monkeypatch)
+    """The least-degree seed leaves 34 to 40 roots for the first phase on
+    these m = 3n random graphs with n = 1000 (the lowest-id seed leaves 110
+    to 142), and one or two phases finish the pass.
+    Every phase augments, except a last one when the matching is not
+    perfect: that phase grows the Hungarian forest."""
+    log = counting_phases(monkeypatch)
     for s in range(5):
         g = random_connected_graph(1000, m=3000, seed=s)
         log.clear()
         m = maximum_matching(g)
-        assert log.count("run") <= 30
+        assert len(log) <= 4
+        assert log[0][0] <= 45
+        assert all(aug > 0 for _, aug, _ in log[:-1])
+        assert (log[-1][1] == 0) == (2 * len(m) < g.n)
         assert m.is_valid_on(g)
-        outer_vertices(g, m)  # maximum: no ValueError
+        assert len(decompose(g).max_matching) == len(m)
         assert maximum_matching(g) == m
 
 
 def test_degree_seed_matches_relabelled_path_without_search(monkeypatch):
     """On P4 labelled 2-0-1-3 and P6 labelled 3-1-0-2-4-5 the lowest-id
     seed takes the middle edge and strands both ends; the least-degree seed
-    starts from the ends and is perfect at once."""
-    log = counting_search(monkeypatch)
+    starts from the ends and is perfect at once, so no phase runs."""
+    log = counting_phases(monkeypatch)
     for order in ([2, 0, 1, 3], [3, 1, 0, 2, 4, 5]):
         g = Graph.from_edges(len(order), list(zip(order, order[1:])))
         assert lowest_id_greedy_exposed(g)
@@ -303,9 +301,9 @@ def test_degree_seed_matches_relabelled_path_without_search(monkeypatch):
 
 def test_cardinality_stop_skips_failed_trees_in_assembly(monkeypatch):
     """Odd n leaves an exposed vertex in every maximum matching.  Level 1
-    stops at |M| edges, so assembly grows no tree that is bound to fail;
-    without the size every exposed vertex left is a failed root."""
-    log = counting_search(monkeypatch)
+    stops at |M| edges, so assembly runs no phase that is bound to augment
+    nothing; without the size the pass ends with such a phase."""
+    log = counting_phases(monkeypatch)
     inside = []
     assemble = cover.assemble
 
@@ -321,19 +319,42 @@ def test_cardinality_stop_skips_failed_trees_in_assembly(monkeypatch):
         inside.clear()
         res = solve(g)
         assert res.branch == "gstar"
-        assert "retire" not in log[inside[0]:inside[1]]
+        assert all(aug > 0 for _, aug, _ in log[inside[0]:inside[1]])
         nu = len(maximum_matching(g))
-        for size, retired in ((nu, False), (None, True)):
+        for size, last_fails in ((nu, False), (None, True)):
             log.clear()
             grown = maximum_matching_covering(g, Matching.empty(g.n), size)
-            assert len(grown) == nu and ("retire" in log) == retired
+            assert len(grown) == nu and (log[-1][1] == 0) == last_fails
+
+
+def test_cardinality_stop_ends_the_phase_that_reaches_it(monkeypatch):
+    """P4 0-1-2-3 seeded with 1-2, beside stars K_{1,3} each seeded with one
+    edge.  The first phase augments along 0-1-2-3 before it grows anything
+    else; given the size it stops there, with each star's two exposed
+    leaves left as bare roots.  Without the size it grows the stars'
+    Hungarian trees, then grows them again in a last phase."""
+    stars = 5
+    edges, seed = [(0, 1), (1, 2), (2, 3)], [(1, 2)]
+    for c in range(4, 4 + 4 * stars, 4):
+        edges += [(c, c + 1), (c, c + 2), (c, c + 3)]
+        seed.append((c, c + 1))
+    g = Graph.from_edges(4 + 4 * stars, edges)
+    m0 = Matching.from_edges(g, seed)
+    roots = 2 + 2 * stars
+    log = counting_phases(monkeypatch)
+    grown = maximum_matching_covering(g, m0, 2 + stars)
+    assert grown.mate(0) == 1 and grown.mate(2) == 3
+    assert log == [(roots, 1, roots + 2)]
+    log.clear()
+    assert maximum_matching_covering(g, m0) == grown
+    assert log == [(roots, 1, roots + 2 + 2 * stars), (2 * stars, 0, 4 * stars)]
 
 
 def test_covering_size_above_nu_grows_to_maximum():
     """A size larger than the matching number only disables the stop."""
     for g in (path_graph(5), cycle_graph(7), star_graph(4), petersen_graph()):
         nu = brute_nu(g, BUDGET)
+        assert len(decompose(g).max_matching) == nu
         for size in (nu, nu + 1, g.n):
             m = maximum_matching_covering(g, Matching.empty(g.n), size)
             assert len(m) == nu
-            outer_vertices(g, m)  # maximum: no ValueError

@@ -4,7 +4,7 @@ import pytest
 
 import matchcover.cli
 import matchcover.cover
-from matchcover import InternalInvariantError, blossom
+from matchcover import InternalInvariantError
 from matchcover.cli import (
     EXIT_INTERNAL,
     EXIT_MISMATCH,
@@ -13,6 +13,8 @@ from matchcover.cli import (
     EXIT_USAGE,
     main,
 )
+
+from conftest import unmatch_one_pair
 
 P4 = "p 4 3\ne 1 2\ne 2 3\ne 3 4\n"
 C3 = "p 3 3\ne 1 2\ne 2 3\ne 1 3\n"
@@ -47,24 +49,21 @@ def test_solve_star(tmp_path, capsys):
     assert out.splitlines() == ["mc = 3", "M1: 1-2", "M2: 1-3", "M3: 1-4"]
 
 
-def _crossed_trees(self, a, b):
-    raise blossom._TreesCrossed("alternating trees crossed")
-
-
 def _bad_switch(*args, **kwargs):
     raise ValueError("switching path does not alternate")
 
 
 def test_solve_engine_failure_exit_4(tmp_path, capsys, monkeypatch):
-    """A broken search engine or balancing step is reported as an internal
-    error, not as "no cover" and not as a crash."""
+    """A blossom pass that returns a non-maximum matching, or a broken
+    balancing step, is reported as an internal error, not as "no cover" and
+    not as a crash."""
     cases = [
-        (blossom._Search, "_lowest_common_base", _crossed_trees, C3),
-        (matchcover.cover, "optimize", _bad_switch, P3),
+        (unmatch_one_pair, C3),
+        (lambda patch: patch.setattr(matchcover.cover, "optimize", _bad_switch), P3),
     ]
-    for target, name, broken, text in cases:
+    for breaks, text in cases:
         with monkeypatch.context() as patch:
-            patch.setattr(target, name, broken)
+            breaks(patch)
             code = main(["solve", write(tmp_path, "g.g", text)])
         err = capsys.readouterr().err
         assert code == EXIT_INTERNAL

@@ -46,7 +46,7 @@ def test_gstar_validation():
 
 def test_build_gstar_p3():
     g = path_graph(3)
-    ge = decompose(g, maximum_matching(g))
+    ge = decompose(g)
     gs = build_gstar(g, ge)
     assert gs.a_vertices == (1,)
     assert gs.d_vertices == (0, 2)
@@ -55,7 +55,7 @@ def test_build_gstar_p3():
 
 def test_build_gstar_star():
     g = star_graph(3)
-    ge = decompose(g, maximum_matching(g))
+    ge = decompose(g)
     gs = build_gstar(g, ge)
     assert gs.a_vertices == (0,)
     assert gs.d_vertices == (1, 2, 3)
@@ -68,7 +68,7 @@ def test_build_gstar_edges_are_host_a_dstar_edges():
     checked = 0
     for seed in range(80):
         g = random_connected_graph(11, p=0.25, seed=seed)
-        ge = decompose(g, maximum_matching(g))
+        ge = decompose(g)
         if not ge.a:
             continue
         gs = build_gstar(g, ge)
@@ -84,7 +84,7 @@ def test_build_gstar_edges_are_host_a_dstar_edges():
 
 def test_build_gstar_rejects_empty_a():
     g = path_graph(4)
-    ge = decompose(g, maximum_matching(g))
+    ge = decompose(g)
     with pytest.raises(ValueError, match="empty A"):
         build_gstar(g, ge)
 
@@ -168,7 +168,7 @@ def test_forest_closure():
     outside the forest once building finishes."""
     for seed in range(60):
         g = random_connected_graph(9, p=0.3, seed=seed)
-        ge = decompose(g, maximum_matching(g))
+        ge = decompose(g)
         if not ge.a or not ge.d_star:
             continue
         gs = build_gstar(g, ge)
@@ -247,7 +247,7 @@ def test_build_forest_stop_keeps_forest_random():
     checked = 0
     for seed in range(200):
         g = random_connected_graph(20, p=0.15, seed=seed)
-        ge = decompose(g, maximum_matching(g))
+        ge = decompose(g)
         if not ge.a:
             continue
         gs = build_gstar(g, ge)
@@ -396,7 +396,7 @@ def test_optimize_matches_brute_md_random():
     checked = 0
     for seed in range(400):
         g = random_connected_graph(10, p=0.3, seed=seed)
-        ge = decompose(g, maximum_matching(g))
+        ge = decompose(g)
         if not ge.a or not ge.d_star:
             continue
         gs = build_gstar(g, ge)
@@ -431,7 +431,7 @@ def test_optimize_complete_bipartite_closed_form(k, big, transforms):
     g = Graph.from_edges(
         k + big, [(a, k + d) for a in range(k) for d in range(big)]
     )
-    gs = build_gstar(g, decompose(g, maximum_matching(g)))
+    gs = build_gstar(g, decompose(g))
     sc = initial_cover(gs, maximum_matching(g))
     count = optimize(gs, sc)
     md = -(-big // k)

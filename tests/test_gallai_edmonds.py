@@ -1,17 +1,16 @@
 import pytest
 
 from matchcover import (
-    Matching,
+    InternalInvariantError,
     brute_d_set,
     components,
     induced_subgraph,
     random_connected_graph,
 )
-from matchcover.blossom import maximum_matching
 from matchcover.gallai_edmonds import GallaiEdmonds, decompose
 from matchcover.oracle import OracleBudget, is_factor_critical, verify_decomposition
 
-from conftest import complete_graph, cycle_graph, path_graph
+from conftest import complete_graph, cycle_graph, path_graph, unmatch_one_pair
 
 BUDGET = OracleBudget(max_vertices=12, max_edges=66)
 
@@ -24,7 +23,7 @@ def d_components(g, ge):
 
 def test_decompose_p4_perfect():
     g = path_graph(4)
-    ge = decompose(g, maximum_matching(g))
+    ge = decompose(g)
     assert ge.d == frozenset()
     assert ge.a == frozenset()
     assert ge.c == {0, 1, 2, 3}
@@ -32,8 +31,7 @@ def test_decompose_p4_perfect():
 
 def test_decompose_p3():
     g = path_graph(3)
-    m = Matching.from_edges(g, [(0, 1)])
-    ge = decompose(g, m)
+    ge = decompose(g)
     assert ge.d == {0, 2}
     assert ge.a == {1}
     assert ge.c == frozenset()
@@ -43,38 +41,32 @@ def test_decompose_p3():
 
 def test_decompose_c3():
     g = cycle_graph(3)
-    ge = decompose(g, maximum_matching(g))
+    ge = decompose(g)
     assert ge.d == {0, 1, 2}
     assert ge.a == frozenset()
     assert ge.c == frozenset()
     assert ge.d_star == frozenset()
 
 
-def test_decompose_rejects_non_maximum():
-    g = path_graph(4)
-    with pytest.raises(ValueError, match="not maximum"):
-        decompose(g, Matching.from_edges(g, [(1, 2)]))
-
-
-def test_decompose_rejects_random_non_maximum():
-    """Dropping any one edge of a maximum matching leaves an augmenting path;
-    the multi-source search of the decomposition must reject the matching."""
+def test_decompose_rejects_random_non_maximum(monkeypatch):
+    """A matching one edge short of maximum fails the Tutte-Berge check,
+    whichever edge is dropped: it leaves two more vertices exposed than
+    odd(G - A) - |A|.  The check reads only g, the matching and A."""
     count = 0
     for n in range(2, 11):
         for seed in range(23):
             g = random_connected_graph(n, p=0.4, seed=seed)
-            edges = maximum_matching(g).edges()
-            drop = seed % len(edges)
-            short = Matching.from_edges(g, edges[:drop] + edges[drop + 1:])
-            with pytest.raises(ValueError, match="not maximum"):
-                decompose(g, short)
+            with monkeypatch.context() as patch:
+                unmatch_one_pair(patch, seed)
+                with pytest.raises(InternalInvariantError, match="Tutte-Berge"):
+                    decompose(g)
             count += 1
     assert count >= 200
 
 
 def test_verify_p3_true_and_swapped_false():
     g = path_graph(3)
-    ge = decompose(g, maximum_matching(g))
+    ge = decompose(g)
     assert verify_decomposition(g, ge)
     swapped = GallaiEdmonds(
         d=ge.a, a=ge.d, c=ge.c,
@@ -86,7 +78,7 @@ def test_verify_p3_true_and_swapped_false():
 
 def test_verify_c3_full_d():
     g = cycle_graph(3)
-    ge = decompose(g, maximum_matching(g))
+    ge = decompose(g)
     assert verify_decomposition(g, ge)
 
 
@@ -104,7 +96,7 @@ def test_blossom_interior_lands_in_d():
     from matchcover import Graph
 
     g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
-    ge = decompose(g, maximum_matching(g))
+    ge = decompose(g)
     assert ge.d == brute_d_set(g, BUDGET)
     assert verify_decomposition(g, ge)
 
@@ -113,8 +105,8 @@ def test_random_decompositions_verify():
     for n in range(4, 11):
         for seed in range(25):
             g = random_connected_graph(n, p=0.35, seed=seed)
-            m = maximum_matching(g)
-            ge = decompose(g, m)
+            ge = decompose(g)
+            m = ge.max_matching
             assert verify_decomposition(g, ge)
             assert ge.d == brute_d_set(g, BUDGET)
             comps = d_components(g, ge)

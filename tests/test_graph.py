@@ -11,7 +11,8 @@ from matchcover import (
     random_connected_graph,
     serialize_graph,
 )
-from matchcover.graph import _parse_canonical, _parse_lines, neighbor_set
+from matchcover.graph import _parse_canonical, _parse_lines
+from matchcover.oracle import neighbor_set
 
 from conftest import cycle_graph, path_graph
 
