@@ -13,6 +13,7 @@ sorted and ties go to the lower id, so results are deterministic.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 
 from .graph import Graph
 
@@ -21,73 +22,48 @@ _OUTER = 1
 _INNER = 2
 
 
+@dataclass(frozen=True)
 class Matching:
-    """Pairwise vertex-disjoint edges over a host graph, kept as a mate table."""
+    """Pairwise vertex-disjoint edges of a graph on vertices 0..n-1.
 
-    __slots__ = ("_mate",)
+    ``pairs`` lists the edges as ascending (u, v) pairs with u < v, as
+    :meth:`from_edges` and the blossom engine build them.  The constructor
+    checks nothing; :func:`~matchcover.cover.verify_cover` checks a whole
+    cover against its graph.  ``len`` is O(1), and :meth:`edges` and
+    :meth:`vertices` cost O(|M|) whatever n is.
+    """
 
-    def __init__(self, mate):
-        self._mate = tuple(mate)
-
-    @classmethod
-    def empty(cls, n: int) -> "Matching":
-        return cls([-1] * n)
+    n: int
+    pairs: tuple[tuple[int, int], ...]
 
     @classmethod
     def from_edges(cls, g: Graph, edges) -> "Matching":
-        mate = [-1] * g.n
+        pairs = []
+        seen: set[int] = set()
         for u, v in edges:
             if not g.has_edge(u, v):
                 raise ValueError(f"{u}-{v} is not an edge of the host graph")
-            if mate[u] != -1 or mate[v] != -1:
+            if u in seen or v in seen:
                 raise ValueError(f"edge {u}-{v} shares a vertex with another edge")
-            mate[u] = v
-            mate[v] = u
-        return cls(mate)
-
-    @property
-    def n(self) -> int:
-        return len(self._mate)
-
-    @property
-    def mates(self) -> tuple[int, ...]:
-        return self._mate
-
-    def mate(self, v: int) -> int:
-        return self._mate[v]
+            seen.add(u)
+            seen.add(v)
+            pairs.append((u, v) if u < v else (v, u))
+        pairs.sort()
+        return cls(g.n, tuple(pairs))
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, w) for u, w in enumerate(self._mate) if u < w]
+        return list(self.pairs)
 
     def vertices(self) -> frozenset[int]:
-        return frozenset(v for v, w in enumerate(self._mate) if w != -1)
-
-    def is_perfect_on(self, g: Graph) -> bool:
-        return g.n == len(self._mate) and all(w != -1 for w in self._mate)
-
-    def is_valid_on(self, g: Graph) -> bool:
-        if g.n != len(self._mate):
-            return False
-        for v, w in enumerate(self._mate):
-            if w == -1:
-                continue
-            if not (0 <= w < g.n) or self._mate[w] != v:
-                return False
-            if v < w and not g.has_edge(v, w):
-                return False
-        return True
+        return frozenset(v for e in self.pairs for v in e)
 
     def __len__(self) -> int:
-        return sum(1 for v, w in enumerate(self._mate) if v < w)
+        return len(self.pairs)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Matching) and self._mate == other._mate
 
-    def __hash__(self) -> int:
-        return hash(self._mate)
-
-    def __repr__(self) -> str:
-        return f"Matching({self.edges()!r})"
+def _from_mate(mate) -> Matching:
+    """The matching of the engine's mate list (-1 for an exposed vertex)."""
+    return Matching(len(mate), tuple((u, w) for u, w in enumerate(mate) if u < w))
 
 
 class _Search:
@@ -288,7 +264,7 @@ def maximum_matching(g: Graph) -> Matching:
     """A maximum-cardinality matching, computed deterministically."""
     mate = [-1] * g.n
     _maximize(g.adjacency, mate)
-    return Matching(mate)
+    return _from_mate(mate)
 
 
 def maximum_matching_covering(
@@ -303,9 +279,14 @@ def maximum_matching_covering(
     Hungarian forest from every exposed vertex left; a larger ``size``
     disables the stop.  m0 must be a matching of g, as one built by
     :meth:`Matching.from_edges` is; only its vertex count is checked here.
+    Its pairs are copied into the engine's mate list, and the grown list is
+    read back into a new :class:`Matching`.
     """
     if m0.n != g.n:
         raise ValueError("matching is not valid on this graph")
-    mate = list(m0.mates)
+    mate = [-1] * g.n
+    for u, v in m0.pairs:
+        mate[u] = v
+        mate[v] = u
     _maximize(g.adjacency, mate, size)
-    return Matching(mate)
+    return _from_mate(mate)

@@ -37,18 +37,29 @@ class SolveResult:
 
 
 def verify_cover(g: Graph, mc: MatchingCover) -> bool:
-    """True iff every listed matching is valid on g and their union covers V(g).
+    """True iff every listed matching is a matching of g and their union
+    covers V(g).
 
+    One pass over the cover's edges, O(n + sum of |M_i|): each pair must be
+    an edge (u, v), u < v, of g, which also rules out self-pairs and
+    out-of-range ends; a per-vertex stamp of the last level that covered it
+    rejects two pairs of one level sharing a vertex, and every stamp must
+    be set at the end.  A matching of another vertex count is rejected.
     Optimality is not checked here; that is the oracle's job.
     """
-    covered = [False] * g.n
-    for m in mc.matchings:
-        if not m.is_valid_on(g):
+    edge_set = g.edge_set
+    level_of = [0] * g.n
+    for level, m in enumerate(mc.matchings, start=1):
+        if m.n != g.n:
             return False
-        for v, w in enumerate(m.mates):
-            if w != -1:
-                covered[v] = True
-    return all(covered)
+        for e in m.pairs:
+            if e not in edge_set:
+                return False
+            u, v = e
+            if level_of[u] == level or level_of[v] == level:
+                return False
+            level_of[u] = level_of[v] = level
+    return all(level_of)
 
 
 def solve(
@@ -116,21 +127,24 @@ def assemble(g: Graph, ge: GallaiEdmonds, stars: dict[int, list[int]]) -> Matchi
 
     D is nonempty, so g has no perfect matching and k = max(2, md), md being
     the largest star size (0 without stars, as for a factor-critical g).
-    Level 1 is a maximum matching grown on g itself from the edges of
-    ``ge.max_matching`` with no end in A plus each star's first edge; these
-    are vertex-disjoint, since a D*-vertex has only A-neighbours.  Growth
-    never uncovers a vertex, so level 1 keeps covering C and every star's
-    first edge.  Growth stops at |m| edges, m being maximum (``decompose``
-    certifies it by the Tutte-Berge formula); a shorter level 1 is an
-    internal error.  Level 2 merges a rescue edge inside its D-component for
+    ``ge.max_matching`` must be perfect on C, checked as 2 |{its edges
+    inside C}| = |C|.  Level 1 is a maximum matching grown on g itself from
+    the edges of ``ge.max_matching`` with no end in A plus each star's first
+    edge; these are vertex-disjoint, since a D*-vertex has only
+    A-neighbours.  Growth never uncovers a vertex, so level 1 keeps covering
+    C and every star's first edge.  Growth stops at |m| edges, m being
+    maximum (``decompose`` certifies it by the Tutte-Berge formula); a
+    shorter level 1 is an internal error.  Level 2 merges a rescue edge inside its D-component for
     each D-vertex level 1 misses with each star's next edge; higher levels
-    take one further edge per star.
+    take one further edge per star.  Each level past the first is built from
+    its own edges in O(|M_i|), whatever n is.
     """
     a_set, c_set, d_set, m = ge.a, ge.c, ge.d, ge.max_matching
-    if not all(m.mate(v) in c_set for v in c_set):
+    inside_c = sum(1 for u, v in m.pairs if u in c_set and v in c_set)
+    if 2 * inside_c != len(c_set):
         raise InternalInvariantError("matching restricted to C is not perfect on C")
 
-    seed_edges = [e for e in m.edges() if a_set.isdisjoint(e)]
+    seed_edges = [e for e in m.pairs if a_set.isdisjoint(e)]
     seed_edges += [(a, ds[0]) for a, ds in stars.items()]
     try:
         seed = Matching.from_edges(g, seed_edges)

@@ -49,11 +49,6 @@ class GStar:
             self.adj[d] = nb
 
     @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        pairs = ((min(a, d), max(a, d)) for d in self.adj for a in self.adj[d])
-        return tuple(sorted(pairs))
-
-    @property
     def size(self) -> int:
         return len(self.a_vertices) + len(self.d_vertices)
 
@@ -100,25 +95,27 @@ class StarCover:
         delta = self.max_degree()
         return [a for a in self.gstar.a_vertices if self.effective_degree(a) == delta]
 
-    def edges(self) -> list[tuple[int, int]]:
-        return sorted((min(d, a), max(d, a)) for d, a in self.center.items())
-
 
 def initial_cover(gs: GStar, m: Matching) -> StarCover:
     """Seed cover from a maximum matching m of the host graph.
 
-    Each D-vertex matched by m keeps its mate, which must be an A-vertex;
-    exposed D-vertices go to their lowest-indexed A-neighbour.
+    Each D-vertex matched by m keeps its partner, read off m's edges, which
+    must be an A-vertex; exposed D-vertices go to their lowest-indexed
+    A-neighbour.
     """
+    partner: dict[int, int] = {}
+    for u, v in m.pairs:
+        partner[u] = v
+        partner[v] = u
     center: dict[int, int] = {}
     for d in gs.d_vertices:
-        mate = m.mate(d)
-        if mate != -1:
-            if not gs.is_a_vertex(mate):
-                raise ValueError(f"D-vertex {d} is matched outside the A side")
-            center[d] = mate
-        else:
+        a = partner.get(d)
+        if a is None:
             center[d] = gs.adj[d][0]
+        elif not gs.is_a_vertex(a):
+            raise ValueError(f"D-vertex {d} is matched outside the A side")
+        else:
+            center[d] = a
     return StarCover(gs, center)
 
 

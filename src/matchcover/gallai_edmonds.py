@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blossom import Matching, _maximize
+from .blossom import Matching, _from_mate, _maximize
 from .errors import InternalInvariantError
 from .graph import Graph
 
@@ -70,5 +70,5 @@ def decompose(g: Graph) -> GallaiEdmonds:
             f" components in G - A, |A| = {len(a)}; the matching is not maximum"
         )
     return GallaiEdmonds(
-        frozenset(d), frozenset(a), frozenset(c), Matching(mate), frozenset(d_star)
+        frozenset(d), frozenset(a), frozenset(c), _from_mate(mate), frozenset(d_star)
     )

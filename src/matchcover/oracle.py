@@ -169,7 +169,7 @@ def brute_md(gs: GStar, budget: OracleBudget | None = None) -> int:
     """
     if not gs.d_vertices:
         return 0
-    _check_budget(gs.size, len(gs.edges), budget)
+    _check_budget(gs.size, sum(map(len, gs.adj.values())), budget)
     for k in range(1, len(gs.d_vertices) + 1):
         if _assignable(gs, k):
             return k
@@ -238,6 +238,6 @@ def is_factor_critical(h: Graph) -> bool:
     for v in range(h.n):
         keep = [w for w in range(h.n) if w != v]
         sub, _ = induced_subgraph(h, keep)
-        if not maximum_matching(sub).is_perfect_on(sub):
+        if 2 * len(maximum_matching(sub)) != sub.n:
             return False
     return True

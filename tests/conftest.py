@@ -1,4 +1,4 @@
-"""Shared graph builders and engine faults for the test suite."""
+"""Shared graph builders, matching checks and engine faults for the test suite."""
 
 from matchcover import Graph, blossom, gallai_edmonds
 
@@ -26,6 +26,21 @@ def petersen_graph():
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return Graph.from_edges(10, outer + spokes + inner)
+
+
+def is_matching_of(g, m):
+    """True iff m has g's vertex count and its pairs are distinct-ended
+    edges (u, v), u < v, of g."""
+    return (
+        m.n == g.n
+        and all(e in g.edge_set for e in m.pairs)
+        and len(m.vertices()) == 2 * len(m)
+    )
+
+
+def is_perfect_on(g, m):
+    """True iff the matching m of g covers every vertex of g."""
+    return is_matching_of(g, m) and 2 * len(m) == g.n
 
 
 def unmatch_one_pair(patch, index=0):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -73,17 +74,59 @@ def test_verify_cover_rejects_foreign_matching():
     g = path_graph(4)
     other = Matching.from_edges(path_graph(5), [(0, 1)])
     assert not verify_cover(g, MatchingCover((other,)))
+    # edges of P4 that cover it, held by a matching on five vertices
+    assert not verify_cover(g, MatchingCover((Matching(5, ((0, 1), (2, 3))),)))
+    # a valid cover plus a level on three vertices
+    full = Matching.from_edges(g, [(0, 1), (2, 3)])
+    assert not verify_cover(g, MatchingCover((full, Matching(3, ((0, 1),)))))
 
 
-def test_verify_cover_rejects_bad_mate_table():
+def test_verify_cover_rejects_non_edge():
     g = path_graph(4)
-    # pairs 0 with 3, which is not an edge of P4; the table is symmetric
-    non_edge = Matching([3, 2, 1, 0])
-    assert not verify_cover(g, MatchingCover((non_edge,)))
-    # 0-1 and 2-3 are edges, but 1 names 2 as its mate
-    asymmetric = Matching([1, 2, 3, 2])
-    assert not verify_cover(g, MatchingCover((asymmetric,)))
-    assert not verify_cover(g, MatchingCover((Matching([1, 0, 3, 2]), asymmetric)))
+    # 0-3 is not an edge of P4, though with 1-2 the pairs cover V
+    assert not verify_cover(g, MatchingCover((Matching(4, ((0, 3), (1, 2))),)))
+    # nor in a later level, after a level that alone covers V
+    full = Matching.from_edges(g, [(0, 1), (2, 3)])
+    assert not verify_cover(g, MatchingCover((full, Matching(4, ((0, 2),)))))
+
+
+def test_verify_cover_rejects_self_and_out_of_range_pairs():
+    g = path_graph(4)
+    full = Matching.from_edges(g, [(0, 1), (2, 3)])
+    # -1 must not wrap around to vertex 3; (1, 0) is edge 0-1 reversed, not
+    # a pair in ascending form
+    for pair in [(1, 1), (3, 3), (-1, 3), (3, 4), (4, 5), (1, 0)]:
+        assert not verify_cover(g, MatchingCover((full, Matching(4, (pair,)))))
+
+
+def test_verify_cover_rejects_pairs_sharing_a_vertex_in_one_level():
+    g = path_graph(4)
+    # three edges covering V, but 0-1 and 1-2 share 1, and 1-2 and 2-3 share 2
+    chain = Matching(4, ((0, 1), (1, 2), (2, 3)))
+    assert not verify_cover(g, MatchingCover((chain,)))
+    assert not verify_cover(g, MatchingCover((Matching(4, ((0, 1), (0, 1), (2, 3))),)))
+    # vertex 1 is in level 1 once and in level 2 twice
+    first = Matching.from_edges(g, [(0, 1), (2, 3)])
+    assert not verify_cover(g, MatchingCover((first, Matching(4, ((0, 1), (1, 2))))))
+
+
+def test_verify_cover_rejects_uncovered_vertex():
+    g = star_graph(3)
+    two = tuple(Matching.from_edges(g, [(0, leaf)]) for leaf in (1, 2))
+    assert not verify_cover(g, MatchingCover(two))
+    assert not verify_cover(g, MatchingCover(two + (Matching(4, ()),)))
+    assert not verify_cover(g, MatchingCover(()))
+
+
+def test_verify_cover_accepts_vertex_in_several_levels():
+    # the center of K_{1,3} is in all three levels
+    g = star_graph(3)
+    levels = tuple(Matching.from_edges(g, [(0, leaf)]) for leaf in (1, 2, 3))
+    assert verify_cover(g, MatchingCover(levels))
+    # 1 and 2 are in both levels of this P4 cover
+    g = path_graph(4)
+    first = Matching.from_edges(g, [(0, 1), (2, 3)])
+    assert verify_cover(g, MatchingCover((first, Matching.from_edges(g, [(1, 2)]))))
 
 
 def test_single_vertex_errors():
@@ -171,7 +214,7 @@ def test_branch_facts_consistent():
             assert res.cover.matchings == (m,)
         elif not ge.a:
             assert res.branch == "factor_critical" and res.cover.k == 2
-            (v,) = [v for v in range(g.n) if m.mate(v) == -1]
+            (v,) = set(range(g.n)) - m.vertices()
             w = g.adjacency[v][0]
             extra = Matching.from_edges(g, [(min(v, w), max(v, w))])
             assert res.cover.matchings == (m, extra)
@@ -229,6 +272,20 @@ def test_short_level_one_is_rejected(monkeypatch):
     monkeypatch.setattr(matchcover.cover, "maximum_matching_covering", seed_only)
     with pytest.raises(InternalInvariantError, match="level-1 matching is not maximum"):
         solve(g)
+
+
+def test_assemble_rejects_matching_not_perfect_on_c():
+    """Assembly needs the matching perfect on C.  On the star 0-1-2 with the
+    path 1-3-4 hung off its center, A = {1} and C = {3, 4}; a matching that
+    leaves C exposed, or matches 3 into A, is an internal error."""
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
+    ge = decompose(g)
+    assert (ge.a, ge.c) == ({1}, {3, 4})
+    matchcover.cover.assemble(g, ge, {1: [0, 2]})
+    for pairs in ([(0, 1)], [(1, 3)]):
+        bad = replace(ge, max_matching=Matching.from_edges(g, pairs))
+        with pytest.raises(InternalInvariantError, match="not perfect on C"):
+            matchcover.cover.assemble(g, bad, {1: [0, 2]})
 
 
 @pytest.mark.parametrize(

@@ -25,12 +25,9 @@ from conftest import path_graph, star_graph
 BUDGET = OracleBudget(max_vertices=12, max_edges=66)
 
 
-def _matching(n, pairs):
-    mate = [-1] * n
-    for u, v in pairs:
-        mate[u] = v
-        mate[v] = u
-    return Matching(mate)
+def gstar_edges(gs):
+    """The derived graph's edges as sorted (u, v) pairs, u < v."""
+    return sorted((min(a, d), max(a, d)) for d, nb in gs.adj.items() for a in nb)
 
 
 def test_gstar_validation():
@@ -50,7 +47,7 @@ def test_build_gstar_p3():
     gs = build_gstar(g, ge)
     assert gs.a_vertices == (1,)
     assert gs.d_vertices == (0, 2)
-    assert gs.edges == ((0, 1), (1, 2))
+    assert gstar_edges(gs) == [(0, 1), (1, 2)]
 
 
 def test_build_gstar_star():
@@ -72,7 +69,7 @@ def test_build_gstar_edges_are_host_a_dstar_edges():
         if not ge.a:
             continue
         gs = build_gstar(g, ge)
-        assert set(gs.edges) == {
+        assert set(gstar_edges(gs)) == {
             (u, v)
             for u, v in g.edges
             if {u, v} & ge.a and {u, v} & ge.d_star
@@ -91,23 +88,30 @@ def test_build_gstar_rejects_empty_a():
 
 def test_initial_cover_p3():
     gs = GStar([1], {0: [1], 2: [1]})
-    sc = initial_cover(gs, _matching(3, [(0, 1)]))
+    sc = initial_cover(gs, Matching(3, ((0, 1),)))
     assert sc.center == {0: 1, 2: 1}
     assert sc.max_degree() == 2
 
 
 def test_initial_cover_star_forced():
     gs = GStar([0], {1: [0], 2: [0], 3: [0]})
-    sc = initial_cover(gs, _matching(4, [(0, 1)]))
+    sc = initial_cover(gs, Matching(4, ((0, 1),)))
     assert sc.center == {1: 0, 2: 0, 3: 0}
     assert sc.max_degree() == 3
 
 
 def test_initial_cover_two_disjoint_edges():
     gs = GStar([0, 1], {2: [0], 3: [1]})
-    sc = initial_cover(gs, _matching(4, [(0, 2), (1, 3)]))
+    sc = initial_cover(gs, Matching(4, ((0, 2), (1, 3))))
     assert sc.max_degree() == 1
-    assert sc.edges() == [(0, 2), (1, 3)]
+    assert sc.center == {2: 0, 3: 1}
+
+
+def test_initial_cover_rejects_partner_outside_a():
+    # D-vertices 1 and 2 matched to each other, not to the A-vertex 0
+    gs = GStar([0], {1: [0], 2: [0]})
+    with pytest.raises(ValueError, match="outside the A side"):
+        initial_cover(gs, Matching(3, ((1, 2),)))
 
 
 def test_effective_degree():
@@ -172,7 +176,7 @@ def test_forest_closure():
         if not ge.a or not ge.d_star:
             continue
         gs = build_gstar(g, ge)
-        sc = initial_cover(gs, Matching.empty(g.n))
+        sc = initial_cover(gs, Matching(g.n, ()))
         if sc.max_degree() < 2:
             continue
         f = build_forest(gs, sc)
@@ -251,7 +255,7 @@ def test_build_forest_stop_keeps_forest_random():
         if not ge.a:
             continue
         gs = build_gstar(g, ge)
-        sc = initial_cover(gs, Matching.empty(g.n))
+        sc = initial_cover(gs, Matching(g.n, ()))
 
         def same_as_full(*_):
             assert build_forest(gs, sc) == _full_forest(gs, sc)
@@ -401,7 +405,7 @@ def test_optimize_matches_brute_md_random():
             continue
         gs = build_gstar(g, ge)
         deltas = []
-        sc = initial_cover(gs, Matching.empty(g.n))
+        sc = initial_cover(gs, Matching(g.n, ()))
         transforms = optimize(
             gs, sc, trace=lambda path, delta: deltas.append(delta)
         )

@@ -117,10 +117,10 @@ def test_random_decompositions_verify():
                 sub, _ = induced_subgraph(g, comp)
                 assert is_factor_critical(sub)
             # matching restricted to C is perfect on C
-            matched_in_c = {v for v in ge.c if m.mate(v) in ge.c}
+            matched_in_c = {v for e in m.pairs if set(e) <= ge.c for v in e}
             assert matched_in_c == set(ge.c)
             # deficiency identity on connected graphs with D nonempty
-            exposed = [v for v in range(g.n) if m.mate(v) == -1]
+            exposed = set(range(g.n)) - m.vertices()
             assert all(v in ge.d for v in exposed)
             if ge.d:
                 assert len(exposed) == len(comps) - len(ge.a)
