@@ -15,7 +15,7 @@ import time
 from .cover import solve, verify_cover
 from .errors import InternalInvariantError, NoCoverError
 from .generate import random_connected_graph
-from .graph import GraphFormatError, parse_graph, serialize_graph
+from .graph import Graph, GraphFormatError, _parse_pairs, serialize_graph
 from .oracle import OracleBudget, OracleBudgetError, brute_mc
 
 EXIT_OK = 0
@@ -34,10 +34,17 @@ def _load_graph(path: str):
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None, EXIT_USAGE
     try:
-        return parse_graph(text), EXIT_OK
+        n, pairs, edge_set = _parse_pairs(text)
     except GraphFormatError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return None, EXIT_USAGE
+    if n > 2 * len(pairs):
+        # some vertex is on no edge: say which before building n adjacency lists
+        ends = {v for e in pairs for v in e}
+        v = next(v for v in range(n) if v not in ends)
+        print(f"error: {NoCoverError.isolated(v)}", file=sys.stderr)
+        return None, EXIT_NO_COVER
+    return Graph._from_checked_pairs(n, pairs, edge_set), EXIT_OK
 
 
 def _fmt_matching(m) -> str:

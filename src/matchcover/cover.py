@@ -80,7 +80,7 @@ def solve(
         raise NoCoverError("empty graph has no matching cover")
     isolated = next((v for v, nbrs in enumerate(g.adjacency) if not nbrs), None)
     if isolated is not None:
-        raise NoCoverError(f"vertex {isolated} is isolated: no matching cover exists")
+        raise NoCoverError.isolated(isolated)
     result = _solve_cases(g, trace)
     if not verify_cover(g, result.cover):
         raise InternalInvariantError("assembled cover does not cover V(G)")
@@ -129,15 +129,16 @@ def assemble(g: Graph, ge: GallaiEdmonds, stars: dict[int, list[int]]) -> Matchi
     the largest star size (0 without stars, as for a factor-critical g).
     ``ge.max_matching`` must be perfect on C, checked as 2 |{its edges
     inside C}| = |C|.  Level 1 is a maximum matching grown on g itself from
-    the edges of ``ge.max_matching`` with no end in A plus each star's first
-    edge; these are vertex-disjoint, since a D*-vertex has only
-    A-neighbours.  Growth never uncovers a vertex, so level 1 keeps covering
-    C and every star's first edge.  Growth stops at |m| edges, m being
-    maximum (``decompose`` certifies it by the Tutte-Berge formula); a
-    shorter level 1 is an internal error.  Level 2 merges a rescue edge inside its D-component for
-    each D-vertex level 1 misses with each star's next edge; higher levels
-    take one further edge per star.  Each level past the first is built from
-    its own edges in O(|M_i|), whatever n is.
+    the edges of ``ge.max_matching`` with no end in A plus each nonempty
+    star's first edge (an idle center has none); these are vertex-disjoint,
+    since a D*-vertex has only A-neighbours.  Growth never uncovers a
+    vertex, so level 1 keeps covering C and every star's first edge.
+    Growth stops at |m| edges, m being maximum (``decompose`` certifies it
+    by the Tutte-Berge formula); a shorter level 1 is an internal error.
+    Level 2 merges a rescue edge inside its D-component for each D-vertex
+    level 1 misses with each star's next edge; higher levels take one
+    further edge per star.  Each level past the first is built from its own
+    edges in O(|M_i|), whatever n is.
     """
     a_set, c_set, d_set, m = ge.a, ge.c, ge.d, ge.max_matching
     inside_c = sum(1 for u, v in m.pairs if u in c_set and v in c_set)
@@ -145,7 +146,7 @@ def assemble(g: Graph, ge: GallaiEdmonds, stars: dict[int, list[int]]) -> Matchi
         raise InternalInvariantError("matching restricted to C is not perfect on C")
 
     seed_edges = [e for e in m.pairs if a_set.isdisjoint(e)]
-    seed_edges += [(a, ds[0]) for a, ds in stars.items()]
+    seed_edges += [(a, ds[0]) for a, ds in stars.items() if ds]
     try:
         seed = Matching.from_edges(g, seed_edges)
     except ValueError as exc:

@@ -3,10 +3,11 @@
 The derived graph joins the A-vertices to the D-vertices (members of D with
 no neighbour in D, the set D*); every neighbour of a D*-vertex lies in A, so
 it is read off D*'s adjacency lists.  A star cover assigns every D-vertex to
-one adjacent A-vertex.  The loop below keeps one cover, checked once, and
-updates it in place: each switching path moves one unit of load from a
-most-loaded center to a much-less-loaded one, until the maximum star size
-cannot be reduced.
+one adjacent A-vertex; its star table holds one star per A-vertex, empty for
+an idle center, so a center's load is the length of its star.  The loop
+below keeps one cover, checked once, and updates it in place: each
+switching path moves one unit of load from a most-loaded center to a
+much-less-loaded one, until the maximum star size cannot be reduced.
 """
 
 from __future__ import annotations
@@ -33,16 +34,16 @@ class GStar:
     def __init__(self, a_vertices, adj):
         self.a_vertices: tuple[int, ...] = tuple(sorted(a_vertices))
         self.d_vertices: tuple[int, ...] = tuple(sorted(adj))
-        self._a_set = frozenset(self.a_vertices)
+        a_set = frozenset(self.a_vertices)
         self.adj: dict[int, tuple[int, ...]] = {}
         for d in self.d_vertices:
-            if d in self._a_set:
+            if d in a_set:
                 raise ValueError("A-vertices and D-vertices must be disjoint")
             nb = tuple(sorted(adj[d]))
             if not nb:
                 raise ValueError(f"D-vertex {d} has no A-neighbour")
             for a in nb:
-                if a not in self._a_set:
+                if a not in a_set:
                     raise ValueError(f"edge {d}-{a} does not join the two sides")
             if len(set(nb)) < len(nb):
                 raise ValueError(f"D-vertex {d} lists an A-neighbour twice")
@@ -51,9 +52,6 @@ class GStar:
     @property
     def size(self) -> int:
         return len(self.a_vertices) + len(self.d_vertices)
-
-    def is_a_vertex(self, v: int) -> bool:
-        return v in self._a_set
 
 
 def build_gstar(g: Graph, ge: GallaiEdmonds) -> GStar:
@@ -66,7 +64,9 @@ def build_gstar(g: Graph, ge: GallaiEdmonds) -> GStar:
 class StarCover:
     """Assignment of every D-vertex to one adjacent A-vertex (its star center).
 
-    ``stars`` maps each center to its D-vertices, ascending.
+    ``stars`` maps every A-vertex, ascending, to its D-vertices, ascending;
+    an idle center maps to ``[]``.  A center's load is the length of its
+    star.
     """
 
     def __init__(self, gstar: GStar, center: dict[int, int]):
@@ -77,46 +77,23 @@ class StarCover:
                 raise ValueError(f"{a} is not an A-neighbour of D-vertex {d}")
         self.gstar = gstar
         self.center: dict[int, int] = dict(center)
-        self.stars: dict[int, list[int]] = {}
+        self.stars: dict[int, list[int]] = {a: [] for a in gstar.a_vertices}
         for d in gstar.d_vertices:
-            self.stars.setdefault(center[d], []).append(d)
-
-    def effective_degree(self, a: int) -> int:
-        if not self.gstar.is_a_vertex(a):
-            raise ValueError(f"{a} is not an A-vertex")
-        return len(self.stars.get(a, ()))
+            self.stars[center[d]].append(d)
 
     def max_degree(self) -> int:
-        if not self.stars:
-            return 0
-        return max(len(ds) for ds in self.stars.values())
-
-    def maximum_centers(self) -> list[int]:
-        delta = self.max_degree()
-        return [a for a in self.gstar.a_vertices if self.effective_degree(a) == delta]
+        return max(map(len, self.stars.values()), default=0)
 
 
 def initial_cover(gs: GStar, m: Matching) -> StarCover:
     """Seed cover from a maximum matching m of the host graph.
 
-    Each D-vertex matched by m keeps its partner, read off m's edges, which
-    must be an A-vertex; exposed D-vertices go to their lowest-indexed
-    A-neighbour.
+    Each D-vertex matched by m keeps its partner, read off m's edges;
+    exposed D-vertices go to their lowest-indexed A-neighbour.  A partner
+    outside A is no A-neighbour, so :class:`StarCover` rejects it.
     """
-    partner: dict[int, int] = {}
-    for u, v in m.pairs:
-        partner[u] = v
-        partner[v] = u
-    center: dict[int, int] = {}
-    for d in gs.d_vertices:
-        a = partner.get(d)
-        if a is None:
-            center[d] = gs.adj[d][0]
-        elif not gs.is_a_vertex(a):
-            raise ValueError(f"D-vertex {d} is matched outside the A side")
-        else:
-            center[d] = a
-    return StarCover(gs, center)
+    partner = dict(m.pairs) | {v: u for u, v in m.pairs}
+    return StarCover(gs, {d: partner.get(d, gs.adj[d][0]) for d in gs.d_vertices})
 
 
 @dataclass
@@ -136,7 +113,8 @@ class AlternatingForest:
 def build_forest(gs: GStar, sc: StarCover) -> AlternatingForest:
     """Near-maximal alternating forest rooted at the maximum centers.
 
-    Roots are processed ascending; each tree is grown to maximality in the
+    Roots, the centers whose star has the maximum size, are taken ascending
+    in one pass over the star table; each tree is grown to maximality in the
     part of the graph not claimed by earlier trees, pulling in a whole star
     whenever its center is reached through a tree D-vertex.
 
@@ -146,18 +124,20 @@ def build_forest(gs: GStar, sc: StarCover) -> AlternatingForest:
     tree.  Where a few D-vertices reach every A-vertex (K_{k,L}: one), a
     rebuild reads their adjacency lists instead of every edge.
     """
-    if sc.max_degree() < 1:
+    delta = sc.max_degree()
+    if delta < 1:
         raise ValueError("forest is only defined when some star is nonempty")
-    n_a = len(gs.a_vertices)
+    stars = sc.stars
+    n_a = len(stars)
     root_of: dict[int, int] = {}
     pred: dict[int, int] = {}
     roots: list[int] = []
-    for u in sc.maximum_centers():
-        if u in root_of:
+    for u, ds in stars.items():
+        if len(ds) != delta or u in root_of:
             continue
         roots.append(u)
         root_of[u] = u
-        queue = deque(sc.stars.get(u, ()))
+        queue = deque(ds)
         while queue and len(root_of) < n_a:
             x = queue.popleft()
             for y in gs.adj[x]:
@@ -165,7 +145,7 @@ def build_forest(gs: GStar, sc: StarCover) -> AlternatingForest:
                     continue
                 root_of[y] = u
                 pred[y] = x
-                queue.extend(sc.stars.get(y, ()))
+                queue.extend(stars[y])
     return AlternatingForest(tuple(roots), root_of, pred)
 
 
@@ -192,9 +172,10 @@ def find_switching_path(f: AlternatingForest, sc: StarCover) -> SwitchingPath | 
     """
     if not f.roots:
         return None
-    v = min(f.root_of, key=lambda a: (sc.effective_degree(a), a))
+    stars = sc.stars
+    v = min(f.root_of, key=lambda a: (len(stars[a]), a))
     u = f.root_of[v]
-    if sc.effective_degree(v) > sc.effective_degree(u) - 2:
+    if len(stars[v]) > len(stars[u]) - 2:
         return None
     seq = [v]
     cur = v
@@ -221,7 +202,7 @@ def transform(sc: StarCover, path: SwitchingPath) -> None:
         raise ValueError("switching path must have a positive even edge count")
     if len(set(verts)) < len(verts):
         raise ValueError("switching path repeats a vertex")
-    gs = sc.gstar
+    gs, stars = sc.gstar, sc.stars
     moves = list(zip(verts[0::2], verts[1::2], verts[2::2]))
     for a, d, a_next in moves:
         if sc.center.get(d) != a:
@@ -229,15 +210,14 @@ def transform(sc: StarCover, path: SwitchingPath) -> None:
         if a_next not in gs.adj[d]:
             raise ValueError(f"{d}-{a_next} is not an edge of the derived graph")
     origin, terminus = verts[0], verts[-1]
-    if sc.effective_degree(origin) != sc.max_degree():
+    if len(stars[origin]) != sc.max_degree():
         raise ValueError("path origin is not a maximum center")
-    if sc.effective_degree(origin) < sc.effective_degree(terminus) + 2:
+    if len(stars[origin]) < len(stars[terminus]) + 2:
         raise ValueError("origin and terminus degrees are too close to switch")
-    # no star empties: only the origin loses load, and it holds at least 2
     for a, d, a_next in moves:
         sc.center[d] = a_next
-        sc.stars[a].remove(d)
-        bisect.insort(sc.stars.setdefault(a_next, []), d)
+        stars[a].remove(d)
+        bisect.insort(stars[a_next], d)
 
 
 def optimize(

@@ -111,13 +111,18 @@ def parse_graph(text: str) -> Graph:
     fails a check, is read line by line, which accepts the same inputs,
     builds the same graph and names the offending line.
     """
-    g = _parse_canonical(text)
-    return _parse_lines(text) if g is None else g
+    return Graph._from_checked_pairs(*_parse_pairs(text))
 
 
-def _parse_canonical(text: str) -> Graph | None:
-    """The graph of a valid canonical-layout text, or None to read it line
-    by line (another layout, or a check failed)."""
+def _parse_pairs(text: str) -> tuple[int, list[tuple[int, int]], frozenset]:
+    """Checked n, ascending 0-indexed pairs and their frozenset; no adjacency."""
+    parsed = _parse_canonical(text)
+    return _parse_lines(text) if parsed is None else parsed
+
+
+def _parse_canonical(text: str) -> tuple[int, list, frozenset] | None:
+    """The parsed pairs of a valid canonical-layout text, or None to read it
+    line by line (another layout, or a check failed)."""
     if text.endswith("\n"):
         text = text[:-1]
     header = _HEADER.match(text)
@@ -154,10 +159,10 @@ def _parse_canonical(text: str) -> Graph | None:
     edge_set = frozenset(pairs)
     if len(edge_set) != m:
         return None
-    return Graph._from_checked_pairs(n, pairs, edge_set)
+    return n, pairs, edge_set
 
 
-def _parse_lines(text: str) -> Graph:
+def _parse_lines(text: str) -> tuple[int, list, frozenset]:
     """Line-by-line reader for every accepted layout; names the bad line."""
     n = None
     m = None
@@ -206,7 +211,7 @@ def _parse_lines(text: str) -> Graph:
     if len(edges) != m:
         raise GraphFormatError(f"header declares {m} edges, found {len(edges)}")
     edges.sort()
-    return Graph._from_checked_pairs(n, edges, frozenset(seen))
+    return n, edges, frozenset(seen)
 
 
 def serialize_graph(g: Graph) -> str:

@@ -4,7 +4,7 @@ import pytest
 
 import matchcover.cli
 import matchcover.cover
-from matchcover import InternalInvariantError
+from matchcover import Graph, InternalInvariantError
 from matchcover.cli import (
     EXIT_INTERNAL,
     EXIT_MISMATCH,
@@ -130,6 +130,39 @@ def test_solve_missing_file_exit_2(tmp_path, capsys):
 def test_solve_single_vertex_exit_3(tmp_path, capsys):
     code = main(["solve", write(tmp_path, "one.g", "p 1 0\n")])
     assert code == EXIT_NO_COVER
+    assert capsys.readouterr().err == (
+        "error: vertex 0 is isolated: no matching cover exists\n"
+    )
+
+
+def test_solve_rejects_header_beyond_twice_the_edges(tmp_path, capsys, monkeypatch):
+    """A header declaring n > 2m leaves some vertex on no edge: solve, and
+    oracle alike, exit 3 naming the lowest one, without building the n
+    adjacency lists."""
+    real = Graph._from_checked_pairs
+
+    def guarded(n, pairs, edge_set=None):
+        assert n <= 2 * len(pairs), "graph built for a header beyond 2m"
+        return real(n, pairs, edge_set)
+
+    monkeypatch.setattr(Graph, "_from_checked_pairs", guarded)
+    for text, v in [
+        ("p 1000000000 0\n", 0),
+        ("p 5 2\ne 1 2\ne 3 4\n", 4),
+        ("c not canonical\np 5 2\ne 4 5\ne 1 3\n", 1),
+    ]:
+        code = main(["solve", write(tmp_path, "g.g", text)])
+        assert code == EXIT_NO_COVER
+        assert capsys.readouterr().err == (
+            f"error: vertex {v} is isolated: no matching cover exists\n"
+        )
+    code = main(["oracle", write(tmp_path, "g.g", "p 1000000000 0\n")])
+    assert code == EXIT_NO_COVER
+    assert "vertex 0 is isolated" in capsys.readouterr().err
+    # a format error still wins, with its line number
+    code = main(["solve", write(tmp_path, "loop.g", "p 1000000000 1\ne 1 1\n")])
+    assert code == EXIT_USAGE
+    assert "loop.g: line 2: self-loop at vertex 1" in capsys.readouterr().err
 
 
 def test_oracle_agreement(tmp_path, capsys):

@@ -288,6 +288,25 @@ def test_assemble_rejects_matching_not_perfect_on_c():
             matchcover.cover.assemble(g, bad, {1: [0, 2]})
 
 
+def test_assemble_skips_an_idle_center():
+    """An A-vertex with an empty star gives assembly no edge.  Center 0
+    holds the leaves 1, 2, 3; A-vertex 4 joins two triangles, whose vertices
+    are all in D but none in D*, so its star stays empty."""
+    g = Graph.from_edges(
+        11,
+        [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (4, 8)]
+        + [(5, 6), (5, 7), (6, 7), (8, 9), (8, 10), (9, 10)],
+    )
+    ge = decompose(g)
+    assert (ge.a, ge.d_star) == ({0, 4}, {1, 2, 3})
+    stars = {0: [1, 2, 3], 4: []}
+    cover = matchcover.cover.assemble(g, ge, stars)
+    assert cover.k == 3
+    assert verify_cover(g, cover)
+    res = solve(g)
+    assert (res.branch, res.md, res.cover.k) == ("gstar", 3, 3)
+
+
 @pytest.mark.parametrize(
     "g,branch",
     [

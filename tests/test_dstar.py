@@ -108,25 +108,27 @@ def test_initial_cover_two_disjoint_edges():
 
 
 def test_initial_cover_rejects_partner_outside_a():
-    # D-vertices 1 and 2 matched to each other, not to the A-vertex 0
+    # D-vertices 1 and 2 matched to each other, not to the A-vertex 0: a
+    # partner outside A is no A-neighbour, so StarCover rejects it
     gs = GStar([0], {1: [0], 2: [0]})
-    with pytest.raises(ValueError, match="outside the A side"):
+    with pytest.raises(ValueError, match="2 is not an A-neighbour of D-vertex 1"):
         initial_cover(gs, Matching(3, ((1, 2),)))
 
 
 def test_effective_degree():
+    """A center's effective degree is its star's length; the idle A-vertex
+    3 holds an empty star, and no D-vertex keys the table."""
     gs = GStar([1, 3], {0: [1], 2: [1, 3]})
     sc = StarCover(gs, {0: 1, 2: 1})
-    assert sc.effective_degree(1) == 2
-    assert sc.effective_degree(3) == 0
-    with pytest.raises(ValueError, match="not an A-vertex"):
-        sc.effective_degree(0)
+    assert sc.stars == {1: [0, 2], 3: []}
+    assert len(sc.stars[1]) == 2
+    assert len(sc.stars[3]) == 0
 
 
 def test_single_edge_star_degree():
     gs = GStar([0], {1: [0]})
     sc = StarCover(gs, {1: 0})
-    assert sc.effective_degree(0) == 1
+    assert len(sc.stars[0]) == 1
 
 
 # A small instance used repeatedly below: center u=0 carries d-vertices
@@ -139,7 +141,7 @@ def _lopsided():
 
 def _forest_d_side(f, sc):
     """The forest's D-vertices: the stars of its A-vertices."""
-    return {d for a in f.root_of for d in sc.stars.get(a, ())}
+    return {d for a in f.root_of for d in sc.stars[a]}
 
 
 def test_build_forest_pulls_in_idle_center():
@@ -186,14 +188,16 @@ def test_forest_closure():
 
 
 def _full_forest(gs, sc):
-    """Reference forest: every tree grown until its queue is empty."""
+    """Reference forest: every tree grown until its queue is empty, from
+    each A-vertex of maximum star size in ascending order."""
+    delta = sc.max_degree()
     root_of, pred, roots = {}, {}, []
-    for u in sc.maximum_centers():
+    for u in [a for a in gs.a_vertices if len(sc.stars[a]) == delta]:
         if u in root_of:
             continue
         roots.append(u)
         root_of[u] = u
-        queue = deque(sc.stars.get(u, ()))
+        queue = deque(sc.stars[u])
         while queue:
             x = queue.popleft()
             for y in gs.adj[x]:
@@ -201,7 +205,7 @@ def _full_forest(gs, sc):
                     continue
                 root_of[y] = u
                 pred[y] = x
-                queue.extend(sc.stars.get(y, ()))
+                queue.extend(sc.stars[y])
     return AlternatingForest(tuple(roots), root_of, pred)
 
 
@@ -310,8 +314,8 @@ def test_transform_lopsided():
     gs, sc = _lopsided()
     assert transform(sc, SwitchingPath((0, 4, 1))) is None
     assert sc.center == {2: 0, 3: 0, 4: 1}
-    assert sc.effective_degree(0) == 2
-    assert sc.effective_degree(1) == 1
+    assert len(sc.stars[0]) == 2
+    assert len(sc.stars[1]) == 1
 
 
 def test_transform_degree_bookkeeping():
@@ -330,10 +334,10 @@ def test_transform_degree_bookkeeping():
         gs,
         {4: 0, 5: 0, 6: 0, 7: 1, 8: 1, 9: 1, 10: 2, 11: 2, 12: 3},
     )
-    before = [sc.effective_degree(a) for a in (0, 1, 2, 3)]
+    before = [len(sc.stars[a]) for a in (0, 1, 2, 3)]
     assert before == [3, 3, 2, 1]
     transform(sc, SwitchingPath((0, 6, 1, 9, 2, 11, 3)))
-    after = [sc.effective_degree(a) for a in (0, 1, 2, 3)]
+    after = [len(sc.stars[a]) for a in (0, 1, 2, 3)]
     assert after == [2, 3, 2, 2]
     assert sc.max_degree() == 3
 
@@ -405,21 +409,31 @@ def test_optimize_matches_brute_md_random():
             continue
         gs = build_gstar(g, ge)
         deltas = []
+
+        def check_table():
+            # one star per A-vertex, keyed ascending, each star ascending,
+            # and every D-vertex in exactly one star
+            assert list(sc.stars) == list(gs.a_vertices)
+            assert all(ds == sorted(ds) for ds in sc.stars.values())
+            assert sum(map(len, sc.stars.values())) == len(gs.d_vertices)
+
+        def after_transform(path, delta):
+            deltas.append(delta)
+            check_table()
+
         sc = initial_cover(gs, Matching(g.n, ()))
-        transforms = optimize(
-            gs, sc, trace=lambda path, delta: deltas.append(delta)
-        )
+        check_table()
+        transforms = optimize(gs, sc, trace=after_transform)
         assert sc.max_degree() == brute_md(gs, BUDGET)
         assert transforms <= gs.size
         # the maximum star size never increases between transforms
         assert all(b <= a for a, b in zip(deltas, deltas[1:]))
-        # the in-place updates keep stars equal to the grouping of center,
-        # each list ascending and nonempty
+        # the in-place updates keep the nonempty stars equal to the
+        # grouping of center
         grouped = {}
         for d, a in sorted(sc.center.items()):
             grouped.setdefault(a, []).append(d)
-        assert sc.stars == grouped
-        assert all(ds and ds == sorted(ds) for ds in sc.stars.values())
+        assert {a: ds for a, ds in sc.stars.items() if ds} == grouped
         checked += 1
     assert checked >= 50
 

@@ -168,6 +168,11 @@ def test_parse_serialize_round_trip_random():
         assert all(list(nbrs) == sorted(nbrs) for nbrs in h.adjacency)
 
 
+def _lines_graph(text):
+    """The graph built from the line reader's pairs."""
+    return Graph._from_checked_pairs(*_parse_lines(text))
+
+
 def _outcome(parse, text):
     """The parsed graph, or the error's (message, line) pair."""
     try:
@@ -249,12 +254,12 @@ def test_bulk_parse_agrees_with_line_reader():
     errors = []
     for text in _canonical_texts(rng):
         # canonical text is read in bulk, not handed to the line reader
-        g = _parse_canonical(text)
-        assert g is not None
-        assert g == _parse_lines(text)
+        parsed = _parse_canonical(text)
+        assert parsed is not None
+        assert parsed == _parse_lines(text)
         for variant in _mutations(text, rng):
             got = _outcome(parse_graph, variant)
-            assert got == _outcome(_parse_lines, variant), variant
+            assert got == _outcome(_lines_graph, variant), variant
             if isinstance(got, Graph):
                 accepted += 1
             else:
