@@ -38,7 +38,7 @@ class Matching:
 
     @classmethod
     def from_edges(cls, g: Graph, edges) -> "Matching":
-        pairs = []
+        edges = list(edges)
         seen: set[int] = set()
         for u, v in edges:
             if not g.has_edge(u, v):
@@ -47,9 +47,7 @@ class Matching:
                 raise ValueError(f"edge {u}-{v} shares a vertex with another edge")
             seen.add(u)
             seen.add(v)
-            pairs.append((u, v) if u < v else (v, u))
-        pairs.sort()
-        return cls(g.n, tuple(pairs))
+        return _unchecked_matching(g.n, edges)
 
     def edges(self) -> list[tuple[int, int]]:
         return list(self.pairs)
@@ -59,6 +57,12 @@ class Matching:
 
     def __len__(self) -> int:
         return len(self.pairs)
+
+
+def _unchecked_matching(n: int, edges) -> Matching:
+    """The edges on n vertices as a matching, unchecked: each put as
+    (u, v) with u < v, and sorted."""
+    return Matching(n, tuple(sorted((u, v) if u < v else (v, u) for u, v in edges)))
 
 
 def _from_mate(mate) -> Matching:
@@ -277,9 +281,10 @@ def maximum_matching_covering(
     preserves its coverage.  Given the maximum matching size of g, growth
     stops once the matching has ``size`` edges instead of growing a last,
     Hungarian forest from every exposed vertex left; a larger ``size``
-    disables the stop.  m0 must be a matching of g, as one built by
-    :meth:`Matching.from_edges` is; only its vertex count is checked here.
-    Its pairs are copied into the engine's mate list, and the grown list is
+    disables the stop.  m0 must be a matching of g; only its vertex count
+    is checked here.  Assembly's level-1 seed is one by construction, and
+    the final cover check in ``solve`` covers the grown matching.  m0's
+    pairs are copied into the engine's mate list, and the grown list is
     read back into a new :class:`Matching`.
     """
     if m0.n != g.n:

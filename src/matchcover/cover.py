@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .blossom import Matching, maximum_matching_covering
+from .blossom import Matching, _unchecked_matching, maximum_matching_covering
 from .dstar import SwitchingPath, build_gstar, initial_cover, optimize
 from .errors import InternalInvariantError, NoCoverError
 from .gallai_edmonds import GallaiEdmonds, decompose
@@ -74,7 +74,9 @@ def solve(
     solved whole.  Empty input and isolated vertices (a single vertex
     included) admit no cover and raise :class:`NoCoverError`.
 
-    The cover is checked once, at the end, with :func:`verify_cover`.
+    The cover is checked once, at the end, with :func:`verify_cover`: a
+    pair that is no edge of g, two pairs of one level sharing a vertex and
+    an uncovered vertex all show up there.
     """
     if g.n == 0:
         raise NoCoverError("empty graph has no matching cover")
@@ -83,7 +85,7 @@ def solve(
         raise NoCoverError.isolated(isolated)
     result = _solve_cases(g, trace)
     if not verify_cover(g, result.cover):
-        raise InternalInvariantError("assembled cover does not cover V(G)")
+        raise InternalInvariantError("assembled cover is not a valid matching cover of G")
     return result
 
 
@@ -137,8 +139,9 @@ def assemble(g: Graph, ge: GallaiEdmonds, stars: dict[int, list[int]]) -> Matchi
     by the Tutte-Berge formula); a shorter level 1 is an internal error.
     Level 2 merges a rescue edge inside its D-component for each D-vertex
     level 1 misses with each star's next edge; higher levels take one
-    further edge per star.  Each level past the first is built from its own
-    edges in O(|M_i|), whatever n is.
+    further edge per star.  The seed and each level are built from their
+    own edges, unchecked, whatever n is; ``solve``'s final
+    :func:`verify_cover` checks them against g.
     """
     a_set, c_set, d_set, m = ge.a, ge.c, ge.d, ge.max_matching
     inside_c = sum(1 for u, v in m.pairs if u in c_set and v in c_set)
@@ -147,11 +150,7 @@ def assemble(g: Graph, ge: GallaiEdmonds, stars: dict[int, list[int]]) -> Matchi
 
     seed_edges = [e for e in m.pairs if a_set.isdisjoint(e)]
     seed_edges += [(a, ds[0]) for a, ds in stars.items() if ds]
-    try:
-        seed = Matching.from_edges(g, seed_edges)
-    except ValueError as exc:
-        raise InternalInvariantError(f"level-1 matching is inconsistent: {exc}")
-    m1 = maximum_matching_covering(g, seed, len(m))
+    m1 = maximum_matching_covering(g, _unchecked_matching(g.n, seed_edges), len(m))
     if len(m1) != len(m):
         raise InternalInvariantError("level-1 matching is not maximum")
 
@@ -171,12 +170,7 @@ def assemble(g: Graph, ge: GallaiEdmonds, stars: dict[int, list[int]]) -> Matchi
         for level, d in zip(levels, ds[1:]):
             level.append((a, d))
 
-    matchings = [m1]
-    for level in levels:
-        try:
-            matchings.append(Matching.from_edges(g, level))
-        except ValueError as exc:
-            raise InternalInvariantError(f"level matching is inconsistent: {exc}")
+    matchings = [m1] + [_unchecked_matching(g.n, level) for level in levels]
     if any(len(mm) == 0 for mm in matchings):
         raise InternalInvariantError("assembled cover contains an empty matching")
     return MatchingCover(tuple(matchings))

@@ -5,9 +5,11 @@ no neighbour in D, the set D*); every neighbour of a D*-vertex lies in A, so
 it is read off D*'s adjacency lists.  A star cover assigns every D-vertex to
 one adjacent A-vertex; its star table holds one star per A-vertex, empty for
 an idle center, so a center's load is the length of its star.  The loop
-below keeps one cover, checked once, and updates it in place: each
-switching path moves one unit of load from a most-loaded center to a
-much-less-loaded one, until the maximum star size cannot be reduced.
+below keeps one cover and updates it in place: each switching path moves
+one unit of load from a most-loaded center to a much-less-loaded one, until
+the maximum star size cannot be reduced.  Nothing here re-checks what the
+pipeline built: ``decompose`` certifies M and A (Tutte-Berge), :func:`optimize`
+its transform bound and maximum star size, and ``solve`` the final cover.
 """
 
 from __future__ import annotations
@@ -26,28 +28,15 @@ from .graph import Graph
 class GStar:
     """Bipartite graph between A-vertices and D-vertices, in host vertex ids.
 
-    ``adj`` maps each D-vertex to its A-neighbours (the D side only).  Every
-    D-vertex has at least one A-neighbour, listed once; isolated vertices,
-    if any, are A-vertices.
+    ``adj`` maps each D-vertex to its A-neighbours (the D side only), kept
+    unchecked: D*'s host adjacency lists are ascending, distinct, nonempty
+    (``solve`` rejects isolated vertices) and inside A.
     """
 
     def __init__(self, a_vertices, adj):
         self.a_vertices: tuple[int, ...] = tuple(sorted(a_vertices))
         self.d_vertices: tuple[int, ...] = tuple(sorted(adj))
-        a_set = frozenset(self.a_vertices)
-        self.adj: dict[int, tuple[int, ...]] = {}
-        for d in self.d_vertices:
-            if d in a_set:
-                raise ValueError("A-vertices and D-vertices must be disjoint")
-            nb = tuple(sorted(adj[d]))
-            if not nb:
-                raise ValueError(f"D-vertex {d} has no A-neighbour")
-            for a in nb:
-                if a not in a_set:
-                    raise ValueError(f"edge {d}-{a} does not join the two sides")
-            if len(set(nb)) < len(nb):
-                raise ValueError(f"D-vertex {d} lists an A-neighbour twice")
-            self.adj[d] = nb
+        self.adj: dict[int, tuple[int, ...]] = adj
 
     @property
     def size(self) -> int:
@@ -66,16 +55,10 @@ class StarCover:
 
     ``stars`` maps every A-vertex, ascending, to its D-vertices, ascending;
     an idle center maps to ``[]``.  A center's load is the length of its
-    star.
+    star.  ``center``, unchecked, assigns each D-vertex an A-neighbour.
     """
 
     def __init__(self, gstar: GStar, center: dict[int, int]):
-        if set(center) != set(gstar.d_vertices):
-            raise ValueError("cover must assign exactly the D-vertices")
-        for d, a in center.items():
-            if a not in gstar.adj[d]:
-                raise ValueError(f"{a} is not an A-neighbour of D-vertex {d}")
-        self.gstar = gstar
         self.center: dict[int, int] = dict(center)
         self.stars: dict[int, list[int]] = {a: [] for a in gstar.a_vertices}
         for d in gstar.d_vertices:
@@ -89,8 +72,8 @@ def initial_cover(gs: GStar, m: Matching) -> StarCover:
     """Seed cover from a maximum matching m of the host graph.
 
     Each D-vertex matched by m keeps its partner, read off m's edges;
-    exposed D-vertices go to their lowest-indexed A-neighbour.  A partner
-    outside A is no A-neighbour, so :class:`StarCover` rejects it.
+    exposed D-vertices go to their lowest-indexed A-neighbour.  Every
+    neighbour of a D*-vertex lies in A, so a partner is an A-neighbour too.
     """
     partner = dict(m.pairs) | {v: u for u, v in m.pairs}
     return StarCover(gs, {d: partner.get(d, gs.adj[d][0]) for d in gs.d_vertices})
@@ -194,27 +177,12 @@ def transform(sc: StarCover, path: SwitchingPath) -> None:
 
     The symmetric difference with the path's edges reassigns each D-vertex
     on the path to the next center; every other star is untouched.  The
-    path is checked in full before the first write, so a rejected path
-    leaves sc unchanged.  Cost: O(path length x star size).
+    path is unchecked: :func:`find_switching_path` builds it to alternate
+    and to end at least 2 below its root.  Cost: O(path length x star size).
     """
     verts = path.vertices
-    if len(verts) < 3 or len(verts) % 2 == 0:
-        raise ValueError("switching path must have a positive even edge count")
-    if len(set(verts)) < len(verts):
-        raise ValueError("switching path repeats a vertex")
-    gs, stars = sc.gstar, sc.stars
-    moves = list(zip(verts[0::2], verts[1::2], verts[2::2]))
-    for a, d, a_next in moves:
-        if sc.center.get(d) != a:
-            raise ValueError(f"edge {a}-{d} is not in the cover")
-        if a_next not in gs.adj[d]:
-            raise ValueError(f"{d}-{a_next} is not an edge of the derived graph")
-    origin, terminus = verts[0], verts[-1]
-    if len(stars[origin]) != sc.max_degree():
-        raise ValueError("path origin is not a maximum center")
-    if len(stars[origin]) < len(stars[terminus]) + 2:
-        raise ValueError("origin and terminus degrees are too close to switch")
-    for a, d, a_next in moves:
+    stars = sc.stars
+    for a, d, a_next in zip(verts[0::2], verts[1::2], verts[2::2]):
         sc.center[d] = a_next
         stars[a].remove(d)
         bisect.insort(stars[a_next], d)

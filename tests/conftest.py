@@ -1,6 +1,6 @@
 """Shared graph builders, matching checks and engine faults for the test suite."""
 
-from matchcover import Graph, blossom, gallai_edmonds
+from matchcover import Graph, blossom, cover, dstar, gallai_edmonds, random_connected_graph
 
 
 def path_graph(n):
@@ -19,6 +19,11 @@ def complete_graph(n):
 def star_graph(leaves):
     """K_{1,leaves} with the center at vertex 0."""
     return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def complete_bipartite_graph(k, big):
+    """K_{k,big} with the small side at vertices 0..k-1."""
+    return Graph.from_edges(k + big, [(a, k + d) for a in range(k) for d in range(big)])
 
 
 def petersen_graph():
@@ -57,3 +62,61 @@ def unmatch_one_pair(patch, index=0):
         return search
 
     patch.setattr(gallai_edmonds, "_maximize", short)
+
+
+def misroute_first_switch(patch, g):
+    """Make balancing's first switching path move a D*-vertex to an
+    A-vertex it is not adjacent to in g, and end balancing there."""
+    done = []
+
+    def misrouted(f, sc):
+        if done:
+            return None
+        done.append(True)
+        a, d, b = next(
+            (a, d, b)
+            for a, ds in sc.stars.items()
+            for d in ds
+            for b in sc.stars
+            if b not in g.adjacency[d]
+        )
+        return dstar.SwitchingPath((a, d, b))
+
+    patch.setattr(dstar, "find_switching_path", misrouted)
+
+
+def share_a_dstar_vertex(patch):
+    """Make balancing end with one D*-vertex also placed second in another,
+    adjacent center's star, so that level 2 pairs it with both centers."""
+    optimize = cover.optimize
+
+    def doubled(gs, sc, trace=None):
+        count = optimize(gs, sc, trace)
+        d, b = next(
+            (ds[1], b)
+            for a, ds in sc.stars.items()
+            if len(ds) > 1
+            for b in gs.adj[ds[1]]
+            if b != a and sc.stars[b]
+        )
+        sc.stars[b].insert(1, d)
+        return count
+
+    patch.setattr(cover, "optimize", doubled)
+
+
+def balancing_faults():
+    """(id, graph, inject) for each planted balancing fault; inject(patch)
+    plants it with a pytest monkeypatch.  A D*-vertex of K_{3,10} is
+    adjacent to every A-vertex, so the non-edge fault runs on K_{3,10}
+    less the edge 2-12 instead."""
+    tree = random_connected_graph(300, m=303, seed=0)
+    k310 = complete_bipartite_graph(3, 10)
+    k310_gap = Graph.from_edges(13, [e for e in k310.edges if e != (2, 12)])
+    return [
+        ("non_edge_tree", tree, lambda patch: misroute_first_switch(patch, tree)),
+        ("non_edge_k310_gap", k310_gap,
+         lambda patch: misroute_first_switch(patch, k310_gap)),
+        ("shared_tree", tree, share_a_dstar_vertex),
+        ("shared_k310", k310, share_a_dstar_vertex),
+    ]

@@ -4,7 +4,7 @@ import pytest
 
 import matchcover.cli
 import matchcover.cover
-from matchcover import Graph, InternalInvariantError
+from matchcover import Graph, InternalInvariantError, serialize_graph
 from matchcover.cli import (
     EXIT_INTERNAL,
     EXIT_MISMATCH,
@@ -14,7 +14,7 @@ from matchcover.cli import (
     main,
 )
 
-from conftest import unmatch_one_pair
+from conftest import balancing_faults, unmatch_one_pair
 
 P4 = "p 4 3\ne 1 2\ne 2 3\ne 3 4\n"
 C3 = "p 3 3\ne 1 2\ne 2 3\ne 1 3\n"
@@ -69,6 +69,20 @@ def test_solve_engine_failure_exit_4(tmp_path, capsys, monkeypatch):
         assert code == EXIT_INTERNAL
         assert err.startswith("internal error: ")
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "g, inject", [pytest.param(g, f, id=name) for name, g, f in balancing_faults()]
+)
+def test_solve_balancing_fault_exit_4(g, inject, tmp_path, capsys, monkeypatch):
+    """A balancing fault that only the final cover check catches exits 4."""
+    path = write(tmp_path, "g.g", serialize_graph(g) + "\n")
+    inject(monkeypatch)
+    code = main(["solve", path])
+    err = capsys.readouterr().err
+    assert code == EXIT_INTERNAL
+    assert err.startswith("internal error: assembled cover is not a valid matching cover")
+    assert "Traceback" not in err
 
 
 def test_solve_json(tmp_path, capsys):

@@ -20,7 +20,13 @@ from matchcover.blossom import maximum_matching
 from matchcover.gallai_edmonds import decompose
 from matchcover.oracle import OracleBudget
 
-from conftest import cycle_graph, path_graph, star_graph
+from conftest import (
+    balancing_faults,
+    complete_bipartite_graph,
+    cycle_graph,
+    path_graph,
+    star_graph,
+)
 
 BUDGET = OracleBudget(max_vertices=12, max_edges=66)
 
@@ -325,8 +331,54 @@ def test_final_check_catches_bad_part_cover(g, branch, monkeypatch):
         return MatchingCover(real(*args).matchings[:-1])
 
     monkeypatch.setattr(matchcover.cover, "assemble", drop_last_level)
-    with pytest.raises(InternalInvariantError, match="does not cover"):
+    with pytest.raises(InternalInvariantError, match="not a valid matching cover of G"):
         solve(g)
+
+
+@pytest.mark.parametrize(
+    "g, inject", [pytest.param(g, f, id=name) for name, g, f in balancing_faults()]
+)
+def test_balancing_fault_ends_at_the_final_check(g, inject, monkeypatch):
+    """A D*-vertex moved to a center it is not adjacent to, or left in two
+    stars so that one level holds two pairs sharing it, passes balancing and
+    assembly unchecked and is rejected by the cover check in solve."""
+    assert solve(g).branch == "gstar"
+    inject(monkeypatch)
+    with pytest.raises(InternalInvariantError, match="not a valid matching cover of G"):
+        solve(g)
+
+
+def test_solve_checks_the_cover_once(monkeypatch):
+    """The pipeline looks up no host edge and calls verify_cover once per
+    solve, on a lopsided, a tree-like and a disconnected graph."""
+    real = matchcover.cover.verify_cover
+    calls = []
+
+    def counted(g, mc):
+        calls.append(mc)
+        return real(g, mc)
+
+    def no_lookup(*_):
+        raise AssertionError("solve looked up a host edge")
+
+    disconnected = Graph.from_edges(
+        2000,
+        [(u + 500 * i, v + 500 * i)
+         for i in range(4)
+         for u, v in random_connected_graph(500, m=520, seed=i).edges],
+    )
+    graphs = [
+        complete_bipartite_graph(20, 2000),
+        random_connected_graph(3000, m=3000, seed=1),
+        disconnected,
+    ]
+    monkeypatch.setattr(Graph, "has_edge", no_lookup)
+    monkeypatch.setattr(matchcover.cover, "verify_cover", counted)
+    for g in graphs:
+        calls.clear()
+        res = solve(g)
+        assert len(calls) == 1
+        assert real(g, res.cover)
 
 
 def test_random_against_oracle():
