@@ -129,8 +129,8 @@ def assemble(g: Graph, ge: GallaiEdmonds, stars: dict[int, list[int]]) -> Matchi
 
     D is nonempty, so g has no perfect matching and k = max(2, md), md being
     the largest star size (0 without stars, as for a factor-critical g).
-    ``ge.max_matching`` must be perfect on C, checked as 2 |{its edges
-    inside C}| = |C|.  Level 1 is a maximum matching grown on g itself from
+    ``ge.max_matching`` is perfect on C: ``decompose``'s Tutte-Berge check
+    fails on an exposed C-vertex or one matched into A.  Level 1 is a maximum matching grown on g itself from
     the edges of ``ge.max_matching`` with no end in A plus each nonempty
     star's first edge (an idle center has none); these are vertex-disjoint,
     since a D*-vertex has only A-neighbours.  Growth never uncovers a
@@ -143,11 +143,7 @@ def assemble(g: Graph, ge: GallaiEdmonds, stars: dict[int, list[int]]) -> Matchi
     own edges, unchecked, whatever n is; ``solve``'s final
     :func:`verify_cover` checks them against g.
     """
-    a_set, c_set, d_set, m = ge.a, ge.c, ge.d, ge.max_matching
-    inside_c = sum(1 for u, v in m.pairs if u in c_set and v in c_set)
-    if 2 * inside_c != len(c_set):
-        raise InternalInvariantError("matching restricted to C is not perfect on C")
-
+    a_set, d_set, m = ge.a, ge.d, ge.max_matching
     seed_edges = [e for e in m.pairs if a_set.isdisjoint(e)]
     seed_edges += [(a, ds[0]) for a, ds in stars.items() if ds]
     m1 = maximum_matching_covering(g, _unchecked_matching(g.n, seed_edges), len(m))

@@ -1,12 +1,14 @@
 import pytest
 
 from matchcover import (
+    Graph,
     InternalInvariantError,
     brute_d_set,
     components,
     induced_subgraph,
     random_connected_graph,
 )
+from matchcover import gallai_edmonds
 from matchcover.gallai_edmonds import GallaiEdmonds, decompose
 from matchcover.oracle import OracleBudget, is_factor_critical, verify_decomposition
 
@@ -64,6 +66,31 @@ def test_decompose_rejects_random_non_maximum(monkeypatch):
     assert count >= 200
 
 
+def test_matching_not_perfect_on_c_fails_tutte_berge(monkeypatch):
+    """A maximum matching is perfect on C, and the Tutte-Berge check needs
+    no second look.  On the star 0-1-2 with the path 1-3-4 hung off its
+    center, A = {1} and C = {3, 4}; a matching that leaves C exposed,
+    {0-1}, or matches 3 into A, {1-3}, leaves three vertices exposed where
+    odd(G - A) - |A| = 1."""
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
+    ge = decompose(g)
+    assert (ge.a, ge.c) == ({1}, {3, 4})
+    maximize = gallai_edmonds._maximize
+    for pairs in ([(0, 1)], [(1, 3)]):
+
+        def planted(adj, mate, size=None):
+            search = maximize(adj, mate, size)
+            mate[:] = [-1] * len(mate)
+            for u, v in pairs:
+                mate[u], mate[v] = v, u
+            return search
+
+        with monkeypatch.context() as patch:
+            patch.setattr(gallai_edmonds, "_maximize", planted)
+            with pytest.raises(InternalInvariantError, match="Tutte-Berge"):
+                decompose(g)
+
+
 def test_verify_p3_true_and_swapped_false():
     g = path_graph(3)
     ge = decompose(g)
@@ -93,8 +120,6 @@ def test_is_factor_critical():
 def test_blossom_interior_lands_in_d():
     """Triangle with a tail: 0-1-2 triangle, tail 2-3-4. A maximum matching
     leaves one triangle vertex exposed; the whole triangle belongs to D."""
-    from matchcover import Graph
-
     g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
     ge = decompose(g)
     assert ge.d == brute_d_set(g, BUDGET)
