@@ -233,6 +233,10 @@ class _Search:
 def _maximize(adj, mate, size=None):
     """Grow mate to maximum cardinality; covered vertices stay covered.
 
+    ``mate`` is the engine's mate list (-1 for an exposed vertex), grown in
+    place from any matching of the graph ``adj``: the seed only pairs two
+    exposed vertices, and an augmentation never uncovers a vertex.
+
     A greedy seed pass visits the exposed vertices in ascending degree (ties
     to the lower id) and pairs each with its exposed neighbour of least
     degree (again ties to the lower id), the min-degree heuristic of Karp
@@ -242,7 +246,8 @@ def _maximize(adj, mate, size=None):
     pass.  The pass ends with the first phase that augments nothing, whose
     Hungarian forest the returned search holds, or with no vertex exposed,
     when it holds an empty forest.  Given the maximum cardinality ``size``,
-    the pass instead stops as soon as the matching has that many edges.
+    the pass instead stops as soon as the matching has that many edges; a
+    larger ``size`` only disables the stop.
     """
     deg = list(map(len, adj))
     exposed = sorted((v for v, w in enumerate(mate) if w == -1), key=deg.__getitem__)
@@ -270,28 +275,3 @@ def maximum_matching(g: Graph) -> Matching:
     _maximize(g.adjacency, mate)
     return _from_mate(mate)
 
-
-def maximum_matching_covering(
-    g: Graph, m0: Matching, size: int | None = None
-) -> Matching:
-    """A maximum matching whose covered set contains V(m0).
-
-    The greedy seed only pairs two exposed vertices and augmentation never
-    uncovers a covered vertex, so growing m0 to maximum cardinality
-    preserves its coverage.  Given the maximum matching size of g, growth
-    stops once the matching has ``size`` edges instead of growing a last,
-    Hungarian forest from every exposed vertex left; a larger ``size``
-    disables the stop.  m0 must be a matching of g; only its vertex count
-    is checked here.  Assembly's level-1 seed is one by construction, and
-    the final cover check in ``solve`` covers the grown matching.  m0's
-    pairs are copied into the engine's mate list, and the grown list is
-    read back into a new :class:`Matching`.
-    """
-    if m0.n != g.n:
-        raise ValueError("matching is not valid on this graph")
-    mate = [-1] * g.n
-    for u, v in m0.pairs:
-        mate[u] = v
-        mate[v] = u
-    _maximize(g.adjacency, mate, size)
-    return _from_mate(mate)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .blossom import Matching, _unchecked_matching, maximum_matching_covering
+from .blossom import Matching, _from_mate, _maximize, _unchecked_matching
 from .dstar import SwitchingPath, build_gstar, initial_cover, optimize
 from .errors import InternalInvariantError, NoCoverError
 from .gallai_edmonds import GallaiEdmonds, decompose
@@ -91,18 +91,17 @@ def solve(
 
 def _solve_cases(g, trace):
     ge = decompose(g)
-    m = ge.max_matching
     if not ge.d:
         return SolveResult(
-            cover=MatchingCover((m,)),
+            cover=MatchingCover((_from_mate(ge.mate),)),
             branch="perfect",
             md=None,
             transforms=0,
             gstar_size=None,
         )
     if not ge.a:
-        # A = ∅: every part of g is factor-critical or perfectly matched by m,
-        # so there are no stars
+        # A = ∅: every part of g is factor-critical or perfectly matched by
+        # ge.mate, so there are no stars
         return SolveResult(
             cover=assemble(g, ge, {}),
             branch="factor_critical",
@@ -111,9 +110,10 @@ def _solve_cases(g, trace):
             gstar_size=None,
         )
     gs = build_gstar(g, ge)
-    # every neighbour of a D*-vertex lies in A, so m pairs each D*-vertex
-    # with an A-vertex or leaves it exposed: all that initial_cover reads
-    sc = initial_cover(gs, m)
+    # every neighbour of a D*-vertex lies in A, so ge.mate pairs each
+    # D*-vertex with an A-vertex or leaves it exposed: all that
+    # initial_cover reads
+    sc = initial_cover(gs, ge.mate)
     transforms = optimize(gs, sc, trace)
     return SolveResult(
         cover=assemble(g, ge, sc.stars),
@@ -129,30 +129,40 @@ def assemble(g: Graph, ge: GallaiEdmonds, stars: dict[int, list[int]]) -> Matchi
 
     D is nonempty, so g has no perfect matching and k = max(2, md), md being
     the largest star size (0 without stars, as for a factor-critical g).
-    ``ge.max_matching`` is perfect on C: ``decompose``'s Tutte-Berge check
-    fails on an exposed C-vertex or one matched into A.  Level 1 is a maximum matching grown on g itself from
-    the edges of ``ge.max_matching`` with no end in A plus each nonempty
-    star's first edge (an idle center has none); these are vertex-disjoint,
-    since a D*-vertex has only A-neighbours.  Growth never uncovers a
-    vertex, so level 1 keeps covering C and every star's first edge.
-    Growth stops at |m| edges, m being maximum (``decompose`` certifies it
-    by the Tutte-Berge formula); a shorter level 1 is an internal error.
-    Level 2 merges a rescue edge inside its D-component for each D-vertex
-    level 1 misses with each star's next edge; higher levels take one
-    further edge per star.  The seed and each level are built from their
-    own edges, unchecked, whatever n is; ``solve``'s final
+    Level 1 is a maximum matching grown on g itself from a copy of
+    ``ge.mate`` with A's pairs unmatched and each nonempty star's first
+    edge added (an idle center has none); these are vertex-disjoint, since
+    a D*-vertex has only A-neighbours.  ``ge.mate`` is perfect on C:
+    ``decompose``'s Tutte-Berge check fails on an exposed C-vertex or one
+    matched into A.  Growth never uncovers a vertex, so level 1 keeps
+    covering C and every star's first edge.  Growth stops at |M| edges, M
+    being maximum (``decompose`` certifies it); a shorter level 1 is an
+    internal error.  Level 2 merges a rescue edge inside its D-component
+    for each vertex of D - D* that level 1 leaves exposed (every D*-vertex
+    is in a star, and a maximum matching covers A and C) with each star's
+    next edge; higher levels take one further edge per star.  Each level
+    is built from its own edges, unchecked; ``solve``'s final
     :func:`verify_cover` checks them against g.
     """
-    a_set, d_set, m = ge.a, ge.d, ge.max_matching
-    seed_edges = [e for e in m.pairs if a_set.isdisjoint(e)]
-    seed_edges += [(a, ds[0]) for a, ds in stars.items() if ds]
-    m1 = maximum_matching_covering(g, _unchecked_matching(g.n, seed_edges), len(m))
-    if len(m1) != len(m):
+    d_set, d_star = ge.d, ge.d_star
+    mate1 = list(ge.mate)
+    size = (g.n - mate1.count(-1)) // 2
+    for a in ge.a:
+        w = mate1[a]
+        if w != -1:
+            mate1[a] = mate1[w] = -1
+    for a, ds in stars.items():
+        if ds:
+            mate1[a], mate1[ds[0]] = ds[0], a
+    _maximize(g.adjacency, mate1, size)
+    m1 = _from_mate(mate1)
+    if len(m1) != size:
         raise InternalInvariantError("level-1 matching is not maximum")
 
-    covered = m1.vertices() | {v for a, ds in stars.items() for v in (a, *ds)}
     rescue: list[tuple[int, int]] = []
-    for w in sorted(d_set - covered):
+    for w, partner in enumerate(mate1):
+        if partner != -1 or w in d_star:
+            continue
         x = next((x for x in g.adjacency[w] if x in d_set), None)
         if x is None:
             raise InternalInvariantError(

@@ -19,7 +19,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from .blossom import Matching
 from .errors import InternalInvariantError
 from .gallai_edmonds import GallaiEdmonds
 from .graph import Graph
@@ -68,15 +67,17 @@ class StarCover:
         return max(map(len, self.stars.values()), default=0)
 
 
-def initial_cover(gs: GStar, m: Matching) -> StarCover:
-    """Seed cover from a maximum matching m of the host graph.
+def initial_cover(gs: GStar, mate) -> StarCover:
+    """Seed cover from a maximum matching of the host graph, given as its
+    mate list (-1 for an exposed vertex).
 
-    Each D-vertex matched by m keeps its partner, read off m's edges;
-    exposed D-vertices go to their lowest-indexed A-neighbour.  Every
-    neighbour of a D*-vertex lies in A, so a partner is an A-neighbour too.
+    Each D-vertex matched keeps its partner, ``mate[d]``; exposed
+    D-vertices go to their lowest-indexed A-neighbour.  Every neighbour of
+    a D*-vertex lies in A, so a partner is an A-neighbour too.
     """
-    partner = dict(m.pairs) | {v: u for u, v in m.pairs}
-    return StarCover(gs, {d: partner.get(d, gs.adj[d][0]) for d in gs.d_vertices})
+    return StarCover(
+        gs, {d: mate[d] if mate[d] != -1 else gs.adj[d][0] for d in gs.d_vertices}
+    )
 
 
 @dataclass

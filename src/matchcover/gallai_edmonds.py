@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blossom import Matching, _from_mate, _maximize
+from .blossom import _maximize
 from .errors import InternalInvariantError
 from .graph import Graph
 
@@ -16,13 +16,16 @@ class GallaiEdmonds:
     d: vertices missed by some maximum matching.
     a: N(d) outside d.
     c: the rest; the matching restricted to c is perfect on c.
+    mate: the maximum matching as the blossom engine's mate list, mate[v]
+        being v's partner, or -1 for an exposed vertex.  Like every
+        maximum matching it covers A and C.
     d_star: members of d with no neighbour in d (the trivial D-components).
     """
 
     d: frozenset[int]
     a: frozenset[int]
     c: frozenset[int]
-    max_matching: Matching
+    mate: tuple[int, ...]
     d_star: frozenset[int]
 
 
@@ -70,5 +73,5 @@ def decompose(g: Graph) -> GallaiEdmonds:
             f" components in G - A, |A| = {len(a)}; the matching is not maximum"
         )
     return GallaiEdmonds(
-        frozenset(d), frozenset(a), frozenset(c), _from_mate(mate), frozenset(d_star)
+        frozenset(d), frozenset(a), frozenset(c), tuple(mate), frozenset(d_star)
     )

@@ -33,13 +33,18 @@ def petersen_graph():
     return Graph.from_edges(10, outer + spokes + inner)
 
 
+def covered_by(m):
+    """The set of vertices that the matching m covers."""
+    return {v for e in m.pairs for v in e}
+
+
 def is_matching_of(g, m):
     """True iff m has g's vertex count and its pairs are distinct-ended
     edges (u, v), u < v, of g."""
     return (
         m.n == g.n
         and all(e in g.edge_set for e in m.pairs)
-        and len(m.vertices()) == 2 * len(m)
+        and len(covered_by(m)) == 2 * len(m)
     )
 
 

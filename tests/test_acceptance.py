@@ -126,7 +126,7 @@ def test_criterion_4_decomposition_certification(corpus):
         for comp in d_components:
             sub, _ = induced_subgraph(g, comp)
             ok = ok and is_factor_critical(sub)
-        exposed = g.n - 2 * len(ge.max_matching)
+        exposed = ge.mate.count(-1)
         if ge.d:
             ok = ok and exposed == len(d_components) - len(ge.a)
         else:

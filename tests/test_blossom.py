@@ -1,9 +1,7 @@
 import random
 
-import pytest
-
-from matchcover import Graph, Matching, brute_d_set, brute_nu, random_connected_graph
-from matchcover.blossom import maximum_matching, maximum_matching_covering
+from matchcover import Graph, brute_d_set, brute_nu, random_connected_graph
+from matchcover.blossom import maximum_matching
 from matchcover import blossom, cover
 from matchcover.cover import solve
 from matchcover.gallai_edmonds import decompose
@@ -11,6 +9,7 @@ from matchcover.oracle import OracleBudget, is_factor_critical
 
 from conftest import (
     complete_graph,
+    covered_by,
     cycle_graph,
     is_matching_of,
     is_perfect_on,
@@ -20,6 +19,17 @@ from conftest import (
 )
 
 BUDGET = OracleBudget(max_vertices=12, max_edges=66)
+
+
+def grow(g, pairs=(), size=None):
+    """The matching that the blossom pass grows on g from the matching
+    ``pairs``, seeded into the engine's mate list; ``size`` as in
+    ``_maximize``."""
+    mate = [-1] * g.n
+    for u, v in pairs:
+        mate[u], mate[v] = v, u
+    blossom._maximize(g.adjacency, mate, size)
+    return blossom._from_mate(mate)
 
 
 def test_maximum_matching_k2():
@@ -41,75 +51,52 @@ def test_maximum_matching_petersen():
     assert len(m) == brute_nu(g, BUDGET)
 
 
-def test_matching_from_edges_validation():
-    g = path_graph(4)
-    with pytest.raises(ValueError, match="not an edge"):
-        Matching.from_edges(g, [(0, 2)])
-    with pytest.raises(ValueError, match="shares a vertex"):
-        Matching.from_edges(g, [(0, 1), (1, 2)])
-
-
 def test_augment_empty_on_k2():
     """The empty matching of K2 is not maximum; growing it adds the edge."""
     g = Graph.from_edges(2, [(0, 1)])
-    assert len(decompose(g).max_matching) == 1
-    assert maximum_matching_covering(g, Matching(2, ())).edges() == [(0, 1)]
+    assert decompose(g).mate == (1, 0)
+    assert grow(g).edges() == [(0, 1)]
 
 
 def test_augment_none_when_maximum():
     """A maximum matching is left as it is by growth."""
     g = cycle_graph(3)
-    m = Matching.from_edges(g, [(0, 1)])
     assert decompose(g).d == {0, 1, 2}
-    assert maximum_matching_covering(g, m) == m
+    assert grow(g, [(0, 1)]).pairs == ((0, 1),)
 
 
 def test_augment_c5():
     g = cycle_graph(5)
-    m = Matching.from_edges(g, [(1, 2), (3, 4)])
-    assert len(m) == len(decompose(g).max_matching)
-    assert maximum_matching_covering(g, m) == m
-    m0 = Matching.from_edges(g, [(2, 3)])
-    assert len(m0) < len(decompose(g).max_matching)
-    m2 = maximum_matching_covering(g, m0)
-    assert len(m2) == 2 and is_matching_of(g, m2) and {2, 3} <= m2.vertices()
+    assert len(maximum_matching(g)) == 2
+    assert grow(g, [(1, 2), (3, 4)]).pairs == ((1, 2), (3, 4))
+    m2 = grow(g, [(2, 3)])
+    assert len(m2) == 2 and is_matching_of(g, m2) and {2, 3} <= covered_by(m2)
 
 
 def test_augmentation_grows_coverage():
     """Growing a non-maximum matching of P6 adds edges and uncovers no vertex."""
     g = path_graph(6)
-    nu = len(decompose(g).max_matching)
+    nu = len(maximum_matching(g))
     for seed in ([], [(1, 2)], [(2, 3)], [(1, 2), (3, 4)]):
-        m0 = Matching.from_edges(g, seed)
-        m = maximum_matching_covering(g, m0)
-        assert len(m) == nu == 3 > len(m0)
-        assert m0.vertices() <= m.vertices()
+        m = grow(g, seed)
+        assert len(m) == nu == 3 > len(seed)
+        assert {v for e in seed for v in e} <= covered_by(m)
 
 
 def test_covering_p4_forced():
-    g = path_graph(4)
-    m = maximum_matching_covering(g, Matching.from_edges(g, [(1, 2)]))
+    m = grow(path_graph(4), [(1, 2)])
     assert set(m.edges()) == {(0, 1), (2, 3)}
 
 
 def test_covering_c3_empty_seed():
-    m = maximum_matching_covering(cycle_graph(3), Matching(3, ()))
-    assert len(m) == 1
+    assert len(grow(cycle_graph(3))) == 1
 
 
 def test_covering_k4_keeps_seed_vertices():
     g = complete_graph(4)
-    m = maximum_matching_covering(g, Matching.from_edges(g, [(0, 2)]))
+    m = grow(g, [(0, 2)])
     assert is_perfect_on(g, m)
-    assert {0, 2} <= m.vertices()
-
-
-def test_covering_rejects_invalid_matching():
-    # a matching of another graph is rejected, not grown
-    g = path_graph(4)
-    bad = Matching.from_edges(path_graph(5), [(0, 1)])
-    with pytest.raises(ValueError, match="not valid"):
-        maximum_matching_covering(g, bad)
+    assert {0, 2} <= covered_by(m)
 
 
 def test_random_nu_matches_oracle():
@@ -127,9 +114,9 @@ def test_covering_property_random():
     for seed in range(120):
         g = random_connected_graph(8, p=0.4, seed=seed)
         seed_m = maximum_matching(Graph.from_edges(g.n, g.edges[: g.m // 3]))
-        m = maximum_matching_covering(g, seed_m)
+        m = grow(g, seed_m.pairs)
         assert len(m) == brute_nu(g, BUDGET)
-        assert seed_m.vertices() <= m.vertices()
+        assert covered_by(seed_m) <= covered_by(m)
 
 
 def test_factor_critical_deletions():
@@ -198,18 +185,15 @@ def test_hungarian_trees_nu_matches_oracle():
         assert decompose(g).d == brute_d_set(g, BUDGET)
         # one-edge seeds leave most vertices exposed, so the greedy seed fires
         for e in g.edges:
-            seed_m = Matching.from_edges(g, [e])
-            grown = maximum_matching_covering(g, seed_m)
-            assert len(grown) == nu and set(e) <= grown.vertices()
+            grown = grow(g, [e])
+            assert len(grown) == nu and set(e) <= covered_by(grown)
 
 
 def test_augment_joins_two_trees_past_a_hungarian_one():
     """Growing {0-1, 4-5}: the greedy seed pairs nothing, and one phase grows
     trees from 2, 3 and 6.  Root 2's tree through 0 is Hungarian; the trees
     of 3 and 6 meet on the edge 5-6, which gives the path 3-4-5-6."""
-    g = spider((1, 1, 4))
-    m0 = Matching.from_edges(g, [(0, 1), (4, 5)])
-    m = maximum_matching_covering(g, m0)
+    m = grow(spider((1, 1, 4)), [(0, 1), (4, 5)])
     assert m.edges() == [(0, 1), (3, 4), (5, 6)]
 
 
@@ -230,8 +214,8 @@ def test_one_search_state_per_pass(monkeypatch):
     monkeypatch.setattr(blossom, "_Search", Counting)
     for run in (
         lambda: maximum_matching(g),
-        lambda: maximum_matching_covering(g, Matching.from_edges(g, [(0, 4)])),
-        lambda: maximum_matching_covering(g, Matching.from_edges(g, [(0, 1)])),
+        lambda: grow(g, [(0, 4)]),
+        lambda: grow(g, [(0, 1)]),
         lambda: decompose(g),
     ):
         built.clear()
@@ -284,7 +268,7 @@ def test_degree_seed_leaves_few_searches(monkeypatch):
         assert all(aug > 0 for _, aug, _ in log[:-1])
         assert (log[-1][1] == 0) == (2 * len(m) < g.n)
         assert is_matching_of(g, m)
-        assert len(decompose(g).max_matching) == len(m)
+        assert blossom._from_mate(decompose(g).mate) == m
         assert maximum_matching(g) == m
 
 
@@ -326,7 +310,7 @@ def test_cardinality_stop_skips_failed_trees_in_assembly(monkeypatch):
         nu = len(maximum_matching(g))
         for size, last_fails in ((nu, False), (None, True)):
             log.clear()
-            grown = maximum_matching_covering(g, Matching(g.n, ()), size)
+            grown = grow(g, (), size)
             assert len(grown) == nu and (log[-1][1] == 0) == last_fails
 
 
@@ -342,14 +326,13 @@ def test_cardinality_stop_ends_the_phase_that_reaches_it(monkeypatch):
         edges += [(c, c + 1), (c, c + 2), (c, c + 3)]
         seed.append((c, c + 1))
     g = Graph.from_edges(4 + 4 * stars, edges)
-    m0 = Matching.from_edges(g, seed)
     roots = 2 + 2 * stars
     log = counting_phases(monkeypatch)
-    grown = maximum_matching_covering(g, m0, 2 + stars)
+    grown = grow(g, seed, 2 + stars)
     assert {(0, 1), (2, 3)} <= set(grown.pairs)
     assert log == [(roots, 1, roots + 2)]
     log.clear()
-    assert maximum_matching_covering(g, m0) == grown
+    assert grow(g, seed) == grown
     assert log == [(roots, 1, roots + 2 + 2 * stars), (2 * stars, 0, 4 * stars)]
 
 
@@ -357,7 +340,7 @@ def test_covering_size_above_nu_grows_to_maximum():
     """A size larger than the matching number only disables the stop."""
     for g in (path_graph(5), cycle_graph(7), star_graph(4), petersen_graph()):
         nu = brute_nu(g, BUDGET)
-        assert len(decompose(g).max_matching) == nu
+        assert len(maximum_matching(g)) == nu
         for size in (nu, nu + 1, g.n):
-            m = maximum_matching_covering(g, Matching(g.n, ()), size)
+            m = grow(g, (), size)
             assert len(m) == nu

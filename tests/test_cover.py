@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 import matchcover.cover
+from matchcover import blossom
 from matchcover import (
     Graph,
     InternalInvariantError,
@@ -271,10 +272,10 @@ def test_short_level_one_is_rejected(monkeypatch):
                              (0, 6), (3, 6)])
     assert solve(g).branch == "gstar"
 
-    def seed_only(g, m0, size=None):
-        return m0
+    def seed_only(adj, mate, size=None):
+        """Leave level 1's seeded mate list as it is."""
 
-    monkeypatch.setattr(matchcover.cover, "maximum_matching_covering", seed_only)
+    monkeypatch.setattr(matchcover.cover, "_maximize", seed_only)
     with pytest.raises(InternalInvariantError, match="level-1 matching is not maximum"):
         solve(g)
 
@@ -364,6 +365,29 @@ def test_solve_checks_the_cover_once(monkeypatch):
         res = solve(g)
         assert len(calls) == 1
         assert real(g, res.cover)
+
+
+def test_matching_read_off_the_mate_list_once(monkeypatch):
+    """The maximum matching stays the engine's mate list from the blossom
+    pass to level 1: each solve builds one Matching from a mate list, on a
+    perfect, a factor-critical and a derived-graph graph alike."""
+    real = blossom._from_mate
+    calls = []
+
+    def counted(mate):
+        calls.append(len(mate))
+        return real(mate)
+
+    monkeypatch.setattr(blossom, "_from_mate", counted)
+    monkeypatch.setattr(matchcover.cover, "_from_mate", counted)
+    for g, branch in (
+        (path_graph(6), "perfect"),
+        (Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)]), "factor_critical"),
+        (random_connected_graph(3000, m=3030, seed=1), "gstar"),
+    ):
+        calls.clear()
+        assert solve(g).branch == branch
+        assert calls == [g.n]
 
 
 def test_random_against_oracle():

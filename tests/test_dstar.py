@@ -3,8 +3,7 @@ from collections import deque
 
 import pytest
 
-from matchcover import Matching, brute_md, random_connected_graph, solve
-from matchcover.blossom import maximum_matching
+from matchcover import brute_md, random_connected_graph, solve
 from matchcover.dstar import (
     AlternatingForest,
     GStar,
@@ -77,21 +76,21 @@ def test_build_gstar_rejects_empty_a():
 
 def test_initial_cover_p3():
     gs = GStar([1], {0: [1], 2: [1]})
-    sc = initial_cover(gs, Matching(3, ((0, 1),)))
+    sc = initial_cover(gs, [1, 0, -1])
     assert sc.center == {0: 1, 2: 1}
     assert sc.max_degree() == 2
 
 
 def test_initial_cover_star_forced():
     gs = GStar([0], {1: [0], 2: [0], 3: [0]})
-    sc = initial_cover(gs, Matching(4, ((0, 1),)))
+    sc = initial_cover(gs, [1, 0, -1, -1])
     assert sc.center == {1: 0, 2: 0, 3: 0}
     assert sc.max_degree() == 3
 
 
 def test_initial_cover_two_disjoint_edges():
     gs = GStar([0, 1], {2: [0], 3: [1]})
-    sc = initial_cover(gs, Matching(4, ((0, 2), (1, 3))))
+    sc = initial_cover(gs, [2, 3, 0, 1])
     assert sc.max_degree() == 1
     assert sc.center == {2: 0, 3: 1}
 
@@ -159,7 +158,7 @@ def test_forest_closure():
         if not ge.a or not ge.d_star:
             continue
         gs = build_gstar(g, ge)
-        sc = initial_cover(gs, Matching(g.n, ()))
+        sc = initial_cover(gs, [-1] * g.n)
         if sc.max_degree() < 2:
             continue
         f = build_forest(gs, sc)
@@ -240,7 +239,7 @@ def test_build_forest_stop_keeps_forest_random():
         if not ge.a:
             continue
         gs = build_gstar(g, ge)
-        sc = initial_cover(gs, Matching(g.n, ()))
+        sc = initial_cover(gs, [-1] * g.n)
 
         def same_as_full(*_):
             assert build_forest(gs, sc) == _full_forest(gs, sc)
@@ -369,7 +368,7 @@ def test_optimize_matches_brute_md_random():
             deltas.append(delta)
             check_table()
 
-        sc = initial_cover(gs, Matching(g.n, ()))
+        sc = initial_cover(gs, [-1] * g.n)
         check_table()
         transforms = optimize(gs, sc, trace=after_transform)
         assert sc.max_degree() == brute_md(gs, BUDGET)
@@ -395,8 +394,9 @@ def test_optimize_complete_bipartite_closed_form(k, big, transforms):
     """K_{k,L} with L > k: the large side is D*, the small side A, and the
     stars balance to md = ceil(L/k), which is also mc."""
     g = complete_bipartite_graph(k, big)
-    gs = build_gstar(g, decompose(g))
-    sc = initial_cover(gs, maximum_matching(g))
+    ge = decompose(g)
+    gs = build_gstar(g, ge)
+    sc = initial_cover(gs, ge.mate)
     count = optimize(gs, sc)
     md = -(-big // k)
     assert sc.max_degree() == md

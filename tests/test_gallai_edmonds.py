@@ -97,7 +97,7 @@ def test_verify_p3_true_and_swapped_false():
     assert verify_decomposition(g, ge)
     swapped = GallaiEdmonds(
         d=ge.a, a=ge.d, c=ge.c,
-        max_matching=ge.max_matching,
+        mate=ge.mate,
         d_star=ge.d_star,
     )
     assert not verify_decomposition(g, swapped)
@@ -131,7 +131,7 @@ def test_random_decompositions_verify():
         for seed in range(25):
             g = random_connected_graph(n, p=0.35, seed=seed)
             ge = decompose(g)
-            m = ge.max_matching
+            mate = ge.mate
             assert verify_decomposition(g, ge)
             assert ge.d == brute_d_set(g, BUDGET)
             comps = d_components(g, ge)
@@ -141,11 +141,14 @@ def test_random_decompositions_verify():
             for comp in comps:
                 sub, _ = induced_subgraph(g, comp)
                 assert is_factor_critical(sub)
-            # matching restricted to C is perfect on C
-            matched_in_c = {v for e in m.pairs if set(e) <= ge.c for v in e}
-            assert matched_in_c == set(ge.c)
+            # the mate list is a matching of g, perfect on C
+            assert all(
+                w == -1 or (mate[w] == v and w in g.adjacency[v])
+                for v, w in enumerate(mate)
+            )
+            assert all(mate[v] in ge.c for v in ge.c)
             # deficiency identity on connected graphs with D nonempty
-            exposed = set(range(g.n)) - m.vertices()
+            exposed = {v for v, w in enumerate(mate) if w == -1}
             assert all(v in ge.d for v in exposed)
             if ge.d:
                 assert len(exposed) == len(comps) - len(ge.a)
