@@ -33,6 +33,9 @@ def _load_graph(path: str):
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None, EXIT_USAGE
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: not UTF-8 text: {exc}", file=sys.stderr)
+        return None, EXIT_USAGE
     try:
         n, pairs, edge_set = _parse_pairs(text)
     except GraphFormatError as exc:

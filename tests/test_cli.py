@@ -141,6 +141,19 @@ def test_solve_missing_file_exit_2(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_non_utf8_file_exit_2(command, tmp_path, capsys):
+    """A file that is not UTF-8 text is bad input, exit 2, named in the
+    message; not a traceback, and not oracle's mismatch code 1."""
+    path = tmp_path / "latin.g"
+    path.write_bytes(b"p 2 1\ne 1 2\n\xff\n")
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err.startswith(f"error: {path}: not UTF-8 text: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_solve_single_vertex_exit_3(tmp_path, capsys):
     code = main(["solve", write(tmp_path, "one.g", "p 1 0\n")])
     assert code == EXIT_NO_COVER
