@@ -1,7 +1,7 @@
 """Command-line front end: solve, cross-check, generate, and benchmark.
 
 Exit codes: 0 success, 2 bad input or parameters, 3 unsolvable instance,
-4 internal invariant breach, 5 oracle budget exceeded, 1 oracle mismatch.
+4 internal error (any solver fault), 5 oracle budget exceeded, 1 oracle mismatch.
 """
 
 from __future__ import annotations
@@ -50,6 +50,14 @@ def _load_graph(path: str):
     return Graph._from_checked_pairs(n, pairs, edge_set), EXIT_OK
 
 
+def _internal_error(exc: Exception) -> int:
+    """Report a solver failure as exit 4 with no traceback: an
+    InternalInvariantError by its message, any other exception by its type too."""
+    kind = "" if isinstance(exc, InternalInvariantError) else f"{type(exc).__name__}: "
+    print(f"internal error: {kind}{exc}", file=sys.stderr)
+    return EXIT_INTERNAL
+
+
 def _fmt_matching(m) -> str:
     return " ".join(f"{u + 1}-{v + 1}" for u, v in m.edges())
 
@@ -73,11 +81,10 @@ def cmd_solve(args) -> int:
     except NoCoverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_COVER
-    except (InternalInvariantError, ValueError) as exc:
-        # solve rejects bad input only with NoCoverError; any other
-        # ValueError comes from inside the solver
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except Exception as exc:
+        # solve rejects bad input only with NoCoverError; anything else
+        # comes from inside the solver
+        return _internal_error(exc)
 
     if args.verify and not verify_cover(g, result.cover):
         print("internal error: produced cover failed verification", file=sys.stderr)
@@ -123,9 +130,9 @@ def cmd_oracle(args) -> int:
         return EXIT_NO_COVER
     try:
         got = solve(g).cover.k
-    except (InternalInvariantError, ValueError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except Exception as exc:
+        # the oracle has found a cover, so any failure is the solver's
+        return _internal_error(exc)
     status = "OK" if got == expected else "MISMATCH"
     print(f"pipeline={got} oracle={expected} {status}")
     return EXIT_OK if got == expected else EXIT_MISMATCH
@@ -166,10 +173,9 @@ def cmd_bench(args) -> int:
         start = time.perf_counter()
         try:
             result = solve(g)
-        except (InternalInvariantError, ValueError) as exc:
+        except Exception as exc:
             # the generated graph is connected, so any failure is the solver's
-            print(f"internal error: {exc}", file=sys.stderr)
-            return EXIT_INTERNAL
+            return _internal_error(exc)
         elapsed = time.perf_counter() - start
         print(f"{n},{m},{elapsed:.3f},{result.transforms}")
     return EXIT_OK

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .blossom import Matching, _from_mate, _maximize, _unchecked_matching
-from .dstar import SwitchingPath, build_gstar, initial_cover, optimize
+from .dstar import SwitchingPath, build_gstar, initial_cover, max_load, optimize
 from .errors import InternalInvariantError, NoCoverError
 from .gallai_edmonds import GallaiEdmonds, decompose
 from .graph import Graph
@@ -110,22 +110,19 @@ def _solve_cases(g, trace):
             gstar_size=None,
         )
     gs = build_gstar(g, ge)
-    # every neighbour of a D*-vertex lies in A, so ge.mate pairs each
-    # D*-vertex with an A-vertex or leaves it exposed: all that
-    # initial_cover reads
-    sc = initial_cover(gs, ge.mate)
-    transforms = optimize(gs, sc, trace)
+    stars = initial_cover(gs, ge.mate)
+    transforms = optimize(gs, stars, trace)
     return SolveResult(
-        cover=assemble(g, ge, sc.stars),
+        cover=assemble(g, ge, stars),
         branch="gstar",
-        md=sc.max_degree(),
+        md=max_load(stars),
         transforms=transforms,
         gstar_size=gs.size,
     )
 
 
 def assemble(g: Graph, ge: GallaiEdmonds, stars: dict[int, list[int]]) -> MatchingCover:
-    """Turn a star cover of D* (center -> sorted D*-vertices) into a cover of g.
+    """Turn the star table of D* (A-vertex -> ascending D*-vertices) into a cover of g.
 
     D is nonempty, so g has no perfect matching and k = max(2, md), md being
     the largest star size (0 without stars, as for a factor-critical g).
@@ -170,7 +167,7 @@ def assemble(g: Graph, ge: GallaiEdmonds, stars: dict[int, list[int]]) -> Matchi
             )
         rescue.append((w, x))
 
-    k = max(2, max(map(len, stars.values()), default=0))
+    k = max(2, max_load(stars))
     levels = [rescue] + [[] for _ in range(k - 2)]
     for a, ds in stars.items():
         for level, d in zip(levels, ds[1:]):

@@ -3,13 +3,16 @@
 The derived graph joins the A-vertices to the D-vertices (members of D with
 no neighbour in D, the set D*); every neighbour of a D*-vertex lies in A, so
 it is read off D*'s adjacency lists.  A star cover assigns every D-vertex to
-one adjacent A-vertex; its star table holds one star per A-vertex, empty for
-an idle center, so a center's load is the length of its star.  The loop
-below keeps one cover and updates it in place: each switching path moves
-one unit of load from a most-loaded center to a much-less-loaded one, until
-the maximum star size cannot be reduced.  Nothing here re-checks what the
-pipeline built: ``decompose`` certifies M and A (Tutte-Berge), :func:`optimize`
-its transform bound and maximum star size, and ``solve`` the final cover.
+one adjacent A-vertex, and it is held as its star table alone: every
+A-vertex, ascending, maps to its D-vertices, ascending, and an idle center
+maps to ``[]``, so a center's load is the length of its star.  No map from a
+D-vertex to its center is kept; an alternating forest records its tree edges
+as (D-vertex, center) pairs instead.  The loop below keeps one table and
+updates it in place: each switching path moves one unit of load from a
+most-loaded center to a much-less-loaded one, until the maximum star size
+cannot be reduced.  Nothing here re-checks what the pipeline built:
+``decompose`` certifies M and A (Tutte-Berge), :func:`optimize` its transform
+bound and maximum star size, and ``solve`` the final cover.
 """
 
 from __future__ import annotations
@@ -49,35 +52,24 @@ def build_gstar(g: Graph, ge: GallaiEdmonds) -> GStar:
     return GStar(ge.a, {d: g.adjacency[d] for d in ge.d_star})
 
 
-class StarCover:
-    """Assignment of every D-vertex to one adjacent A-vertex (its star center).
-
-    ``stars`` maps every A-vertex, ascending, to its D-vertices, ascending;
-    an idle center maps to ``[]``.  A center's load is the length of its
-    star.  ``center``, unchecked, assigns each D-vertex an A-neighbour.
-    """
-
-    def __init__(self, gstar: GStar, center: dict[int, int]):
-        self.center: dict[int, int] = dict(center)
-        self.stars: dict[int, list[int]] = {a: [] for a in gstar.a_vertices}
-        for d in gstar.d_vertices:
-            self.stars[center[d]].append(d)
-
-    def max_degree(self) -> int:
-        return max(map(len, self.stars.values()), default=0)
+def max_load(stars: dict[int, list[int]]) -> int:
+    """Largest star size in a star table (0 for an empty table)."""
+    return max(map(len, stars.values()), default=0)
 
 
-def initial_cover(gs: GStar, mate) -> StarCover:
-    """Seed cover from a maximum matching of the host graph, given as its
-    mate list (-1 for an exposed vertex).
+def initial_cover(gs: GStar, mate) -> dict[int, list[int]]:
+    """Seed star table from a maximum matching of the host graph, given as
+    its mate list (-1 for an exposed vertex).
 
     Each D-vertex matched keeps its partner, ``mate[d]``; exposed
     D-vertices go to their lowest-indexed A-neighbour.  Every neighbour of
-    a D*-vertex lies in A, so a partner is an A-neighbour too.
+    a D*-vertex lies in A, so a partner is an A-neighbour too.  D-vertices
+    are placed in ascending order, so each star is ascending.
     """
-    return StarCover(
-        gs, {d: mate[d] if mate[d] != -1 else gs.adj[d][0] for d in gs.d_vertices}
-    )
+    stars: dict[int, list[int]] = {a: [] for a in gs.a_vertices}
+    for d in gs.d_vertices:
+        stars[mate[d] if mate[d] != -1 else gs.adj[d][0]].append(d)
+    return stars
 
 
 @dataclass
@@ -85,22 +77,27 @@ class AlternatingForest:
     """Disjoint alternating trees rooted at the maximum centers.
 
     root_of maps every A-vertex in the forest to its tree root; pred maps
-    each non-root A-vertex to the D-vertex it was attached through.  The
-    forest's D side is the union of its A-vertices' stars.
+    each non-root A-vertex y to its tree edge (x, a): the D-vertex x it was
+    attached through and x's center a, the tree parent of y.  The forest's
+    D side is the union of its A-vertices' stars.
     """
 
     roots: tuple[int, ...]
     root_of: dict[int, int]
-    pred: dict[int, int]
+    pred: dict[int, tuple[int, int]]
 
 
-def build_forest(gs: GStar, sc: StarCover) -> AlternatingForest:
-    """Near-maximal alternating forest rooted at the maximum centers.
+def build_forest(
+    gs: GStar, stars: dict[int, list[int]], delta: int
+) -> AlternatingForest:
+    """Near-maximal alternating forest rooted at the centers whose star has
+    the table's largest size, delta.
 
-    Roots, the centers whose star has the maximum size, are taken ascending
-    in one pass over the star table; each tree is grown to maximality in the
-    part of the graph not claimed by earlier trees, pulling in a whole star
-    whenever its center is reached through a tree D-vertex.
+    Roots are taken ascending in one pass over the star table; each tree is
+    grown to maximality in the part of the graph not claimed by earlier
+    trees.  Its queue holds centers: popping one reads its star, in claim
+    order (the D-vertex order of a queue of D-vertices), and every
+    unclaimed A-neighbour of a star member joins the tree.
 
     Growth stops as soon as every A-vertex is in the forest.  The forest is
     the same as with full growth: every later D-vertex would find all its
@@ -108,28 +105,27 @@ def build_forest(gs: GStar, sc: StarCover) -> AlternatingForest:
     tree.  Where a few D-vertices reach every A-vertex (K_{k,L}: one), a
     rebuild reads their adjacency lists instead of every edge.
     """
-    delta = sc.max_degree()
-    if delta < 1:
-        raise ValueError("forest is only defined when some star is nonempty")
-    stars = sc.stars
+    adj = gs.adj
     n_a = len(stars)
     root_of: dict[int, int] = {}
-    pred: dict[int, int] = {}
+    pred: dict[int, tuple[int, int]] = {}
     roots: list[int] = []
     for u, ds in stars.items():
         if len(ds) != delta or u in root_of:
             continue
         roots.append(u)
         root_of[u] = u
-        queue = deque(ds)
+        queue = deque((u,))
         while queue and len(root_of) < n_a:
-            x = queue.popleft()
-            for y in gs.adj[x]:
-                if y in root_of:
-                    continue
-                root_of[y] = u
-                pred[y] = x
-                queue.extend(stars[y])
+            a = queue.popleft()
+            for x in stars[a]:
+                for y in adj[x]:
+                    if y not in root_of:
+                        root_of[y] = u
+                        pred[y] = (x, a)
+                        queue.append(y)
+                if len(root_of) == n_a:
+                    break
     return AlternatingForest(tuple(roots), root_of, pred)
 
 
@@ -148,15 +144,16 @@ class SwitchingPath:
         return self.vertices[-1]
 
 
-def find_switching_path(f: AlternatingForest, sc: StarCover) -> SwitchingPath | None:
+def find_switching_path(
+    f: AlternatingForest, stars: dict[int, list[int]]
+) -> SwitchingPath | None:
     """Lightest center in the forest, if lighter than its root by at least 2.
 
-    Ties on degree break to the lowest vertex id.  All roots carry the
-    maximum star size, so a single global minimum suffices.
+    The forest is rooted at the maximum star size, so it has a root and all
+    roots have equal size: a single global minimum suffices, ties broken to
+    the lowest vertex id.  The path is read back from the light center
+    along the forest's tree edges.
     """
-    if not f.roots:
-        return None
-    stars = sc.stars
     v = min(f.root_of, key=lambda a: (len(stars[a]), a))
     u = f.root_of[v]
     if len(stars[v]) > len(stars[u]) - 2:
@@ -164,56 +161,55 @@ def find_switching_path(f: AlternatingForest, sc: StarCover) -> SwitchingPath | 
     seq = [v]
     cur = v
     while cur != u:
-        x = f.pred[cur]
-        a = sc.center[x]
-        seq.append(x)
-        seq.append(a)
-        cur = a
+        x, cur = f.pred[cur]
+        seq += (x, cur)
     seq.reverse()
     return SwitchingPath(tuple(seq))
 
 
-def transform(sc: StarCover, path: SwitchingPath) -> None:
+def transform(stars: dict[int, list[int]], path: SwitchingPath) -> None:
     """Shift one unit of load from the path's origin to its terminus, in place.
 
-    The symmetric difference with the path's edges reassigns each D-vertex
-    on the path to the next center; every other star is untouched.  The
-    path is unchecked: :func:`find_switching_path` builds it to alternate
-    and to end at least 2 below its root.  Cost: O(path length x star size).
+    The symmetric difference with the path's edges moves each D-vertex on
+    the path from its center to the next one; every other star is
+    untouched.  The path is unchecked: :func:`find_switching_path` builds
+    it to alternate and to end at least 2 below its root.  Cost: O(path
+    length x star size).
     """
     verts = path.vertices
-    stars = sc.stars
     for a, d, a_next in zip(verts[0::2], verts[1::2], verts[2::2]):
-        sc.center[d] = a_next
         stars[a].remove(d)
         bisect.insort(stars[a_next], d)
 
 
 def optimize(
     gs: GStar,
-    sc: StarCover,
+    stars: dict[int, list[int]],
     trace: Callable[[SwitchingPath, int], None] | None = None,
 ) -> int:
-    """Balance sc in place by switching paths; return how many were applied.
+    """Balance the star table in place by switching paths; return how many
+    were applied.
 
     The final maximum star size is the matching D-cover number of the
-    derived graph.  The count is bounded by the derived graph's vertex
-    count; exceeding it means a solver bug and aborts hard.  The maximum
-    star size never increases along the way.
+    derived graph.  The table is scanned for its maximum once per
+    transform, and each forest is rooted at that maximum.  The count is
+    bounded by the derived graph's vertex count; exceeding it means a
+    solver bug and aborts hard.  The maximum star size never increases
+    along the way.
     """
     count = 0
-    delta = sc.max_degree()
+    delta = max_load(stars)
     while delta > 1:
-        path = find_switching_path(build_forest(gs, sc), sc)
+        path = find_switching_path(build_forest(gs, stars, delta), stars)
         if path is None:
             break
-        transform(sc, path)
+        transform(stars, path)
         count += 1
         if count > gs.size:
             raise InternalInvariantError(
                 "switching-path transform count exceeded the derived graph order"
             )
-        prev_delta, delta = delta, sc.max_degree()
+        prev_delta, delta = delta, max_load(stars)
         if delta > prev_delta:
             raise InternalInvariantError("maximum star size increased")
         if trace is not None:

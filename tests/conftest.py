@@ -69,20 +69,30 @@ def unmatch_one_pair(patch, index=0):
     patch.setattr(gallai_edmonds, "_maximize", short)
 
 
+def star_table(gs, center):
+    """The star table of an assignment center (D-vertex -> A-vertex) on the
+    derived graph gs: every A-vertex, ascending, to its D-vertices,
+    ascending; an idle center to []."""
+    stars = {a: [] for a in gs.a_vertices}
+    for d in gs.d_vertices:
+        stars[center[d]].append(d)
+    return stars
+
+
 def misroute_first_switch(patch, g):
     """Make balancing's first switching path move a D*-vertex to an
     A-vertex it is not adjacent to in g, and end balancing there."""
     done = []
 
-    def misrouted(f, sc):
+    def misrouted(f, stars):
         if done:
             return None
         done.append(True)
         a, d, b = next(
             (a, d, b)
-            for a, ds in sc.stars.items()
+            for a, ds in stars.items()
             for d in ds
-            for b in sc.stars
+            for b in stars
             if b not in g.adjacency[d]
         )
         return dstar.SwitchingPath((a, d, b))
@@ -95,16 +105,16 @@ def share_a_dstar_vertex(patch):
     adjacent center's star, so that level 2 pairs it with both centers."""
     optimize = cover.optimize
 
-    def doubled(gs, sc, trace=None):
-        count = optimize(gs, sc, trace)
+    def doubled(gs, stars, trace=None):
+        count = optimize(gs, stars, trace)
         d, b = next(
             (ds[1], b)
-            for a, ds in sc.stars.items()
+            for a, ds in stars.items()
             if len(ds) > 1
             for b in gs.adj[ds[1]]
-            if b != a and sc.stars[b]
+            if b != a and stars[b]
         )
-        sc.stars[b].insert(1, d)
+        stars[b].insert(1, d)
         return count
 
     patch.setattr(cover, "optimize", doubled)

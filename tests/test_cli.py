@@ -53,21 +53,34 @@ def _bad_switch(*args, **kwargs):
     raise ValueError("switching path does not alternate")
 
 
+def _lost_key(*args, **kwargs):
+    raise KeyError(7)
+
+
 def test_solve_engine_failure_exit_4(tmp_path, capsys, monkeypatch):
     """A blossom pass that returns a non-maximum matching, or a broken
     balancing step, is reported as an internal error, not as "no cover" and
-    not as a crash."""
+    not as a crash; an unexpected exception type is named."""
     cases = [
-        (unmatch_one_pair, C3),
-        (lambda patch: patch.setattr(matchcover.cover, "optimize", _bad_switch), P3),
+        (unmatch_one_pair, C3, "internal error: "),
+        (
+            lambda patch: patch.setattr(matchcover.cover, "optimize", _bad_switch),
+            P3,
+            "internal error: ",
+        ),
+        (
+            lambda patch: patch.setattr(matchcover.cover, "optimize", _lost_key),
+            P3,
+            "internal error: KeyError: 7\n",
+        ),
     ]
-    for breaks, text in cases:
+    for breaks, text, message in cases:
         with monkeypatch.context() as patch:
             breaks(patch)
             code = main(["solve", write(tmp_path, "g.g", text)])
         err = capsys.readouterr().err
         assert code == EXIT_INTERNAL
-        assert err.startswith("internal error: ")
+        assert err.startswith(message)
         assert "Traceback" not in err
 
 
@@ -118,7 +131,7 @@ def test_solve_trace_flag(tmp_path, capsys):
 
 def test_solve_trace_flag_host_ids_per_component(tmp_path, capsys):
     # the instance above shifted by 2, plus a K2 on vertices 1-2: the
-    # component is solved relabelled, but the trace names host vertices
+    # graph is solved whole, and the trace names host vertices (1-based)
     text = "p 8 7\ne 1 2\ne 3 5\ne 3 6\ne 3 7\ne 3 8\ne 4 7\ne 4 8\n"
     code = main(["solve", "--trace", write(tmp_path, "t.g", text)])
     out = capsys.readouterr().out
@@ -202,13 +215,19 @@ def test_oracle_agreement(tmp_path, capsys):
 
 
 def test_oracle_engine_failure_exit_4(tmp_path, capsys, monkeypatch):
-    """The oracle has already ruled out "no cover", so a ValueError from the
-    pipeline is an internal error."""
-    monkeypatch.setattr(matchcover.cover, "optimize", _bad_switch)
-    code = main(["oracle", write(tmp_path, "p3.g", P3)])
-    err = capsys.readouterr().err
-    assert code == EXIT_INTERNAL
-    assert err.startswith("internal error: ")
+    """The oracle has already ruled out "no cover", so a ValueError, or any
+    other exception, from the pipeline is an internal error: exit 4, not the
+    mismatch code 1."""
+    for broken, message in [
+        (_bad_switch, "internal error: "),
+        (_lost_key, "internal error: KeyError: 7\n"),
+    ]:
+        monkeypatch.setattr(matchcover.cover, "optimize", broken)
+        code = main(["oracle", write(tmp_path, "p3.g", P3)])
+        err = capsys.readouterr().err
+        assert code == EXIT_INTERNAL
+        assert err.startswith(message)
+        assert "Traceback" not in err
 
 
 def test_oracle_budget_exit_5(tmp_path, capsys):
@@ -284,11 +303,16 @@ def test_bench_solver_failure_exit_4(capsys, monkeypatch):
     def broken_value(g):
         raise ValueError("switching path does not alternate")
 
-    for broken in (broken_invariant, broken_value):
+    cases = [
+        (broken_invariant, "internal error: level-1 matching is not maximum\n"),
+        (broken_value, "internal error: "),
+        (_lost_key, "internal error: KeyError: 7\n"),
+    ]
+    for broken, message in cases:
         monkeypatch.setattr(matchcover.cli, "solve", broken)
         code = main(["bench", "--sizes", "40", "--seed", "0"])
         captured = capsys.readouterr()
         assert code == EXIT_INTERNAL
         assert captured.out == "n,m,seconds,transforms\n"
-        assert captured.err.startswith("internal error: ")
+        assert captured.err.startswith(message)
         assert "Traceback" not in captured.err

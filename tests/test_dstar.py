@@ -7,19 +7,19 @@ from matchcover import brute_md, random_connected_graph, solve
 from matchcover.dstar import (
     AlternatingForest,
     GStar,
-    StarCover,
     SwitchingPath,
     build_forest,
     build_gstar,
     find_switching_path,
     initial_cover,
+    max_load,
     optimize,
     transform,
 )
 from matchcover.gallai_edmonds import decompose
 from matchcover.oracle import OracleBudget
 
-from conftest import complete_bipartite_graph, path_graph, star_graph
+from conftest import complete_bipartite_graph, path_graph, star_graph, star_table
 
 BUDGET = OracleBudget(max_vertices=12, max_edges=66)
 
@@ -76,75 +76,80 @@ def test_build_gstar_rejects_empty_a():
 
 def test_initial_cover_p3():
     gs = GStar([1], {0: [1], 2: [1]})
-    sc = initial_cover(gs, [1, 0, -1])
-    assert sc.center == {0: 1, 2: 1}
-    assert sc.max_degree() == 2
+    stars = initial_cover(gs, [1, 0, -1])
+    assert stars == {1: [0, 2]}
+    assert max_load(stars) == 2
 
 
 def test_initial_cover_star_forced():
     gs = GStar([0], {1: [0], 2: [0], 3: [0]})
-    sc = initial_cover(gs, [1, 0, -1, -1])
-    assert sc.center == {1: 0, 2: 0, 3: 0}
-    assert sc.max_degree() == 3
+    stars = initial_cover(gs, [1, 0, -1, -1])
+    assert stars == {0: [1, 2, 3]}
+    assert max_load(stars) == 3
 
 
 def test_initial_cover_two_disjoint_edges():
     gs = GStar([0, 1], {2: [0], 3: [1]})
-    sc = initial_cover(gs, [2, 3, 0, 1])
-    assert sc.max_degree() == 1
-    assert sc.center == {2: 0, 3: 1}
+    stars = initial_cover(gs, [2, 3, 0, 1])
+    assert max_load(stars) == 1
+    assert stars == {0: [2], 1: [3]}
 
 
 def test_effective_degree():
     """A center's effective degree is its star's length; the idle A-vertex
     3 holds an empty star, and no D-vertex keys the table."""
     gs = GStar([1, 3], {0: [1], 2: [1, 3]})
-    sc = StarCover(gs, {0: 1, 2: 1})
-    assert sc.stars == {1: [0, 2], 3: []}
-    assert len(sc.stars[1]) == 2
-    assert len(sc.stars[3]) == 0
+    stars = star_table(gs, {0: 1, 2: 1})
+    assert stars == {1: [0, 2], 3: []}
+    assert len(stars[1]) == 2
+    assert len(stars[3]) == 0
 
 
 def test_single_edge_star_degree():
     gs = GStar([0], {1: [0]})
-    sc = StarCover(gs, {1: 0})
-    assert len(sc.stars[0]) == 1
+    stars = star_table(gs, {1: 0})
+    assert len(stars[0]) == 1
 
 
 # A small instance used repeatedly below: center u=0 carries d-vertices
 # 2,3,4 while A-vertex 1 sits idle, adjacent only to 4.
 def _lopsided():
     gs = GStar([0, 1], {2: [0], 3: [0], 4: [0, 1]})
-    sc = StarCover(gs, {2: 0, 3: 0, 4: 0})
-    return gs, sc
+    stars = star_table(gs, {2: 0, 3: 0, 4: 0})
+    return gs, stars
 
 
-def _forest_d_side(f, sc):
+def _forest(gs, stars):
+    """The forest rooted at the table's largest stars."""
+    return build_forest(gs, stars, max_load(stars))
+
+
+def _forest_d_side(f, stars):
     """The forest's D-vertices: the stars of its A-vertices."""
-    return {d for a in f.root_of for d in sc.stars[a]}
+    return {d for a in f.root_of for d in stars[a]}
 
 
 def test_build_forest_pulls_in_idle_center():
-    gs, sc = _lopsided()
-    f = build_forest(gs, sc)
+    gs, stars = _lopsided()
+    f = _forest(gs, stars)
     assert f.roots == (0,)
     assert set(f.root_of) == {0, 1}
-    assert _forest_d_side(f, sc) == {2, 3, 4}
-    assert f.pred[1] == 4
+    assert _forest_d_side(f, stars) == {2, 3, 4}
+    assert f.pred[1] == (4, 0)
 
 
 def test_build_forest_no_growth_on_full_star():
     gs = GStar([0], {1: [0], 2: [0], 3: [0]})
-    sc = StarCover(gs, {1: 0, 2: 0, 3: 0})
-    f = build_forest(gs, sc)
+    stars = star_table(gs, {1: 0, 2: 0, 3: 0})
+    f = _forest(gs, stars)
     assert f.roots == (0,)
     assert set(f.root_of) == {0}
 
 
 def test_build_forest_two_components_two_trees():
     gs = GStar([0, 1], {2: [0], 3: [0], 4: [1], 5: [1]})
-    sc = StarCover(gs, {2: 0, 3: 0, 4: 1, 5: 1})
-    f = build_forest(gs, sc)
+    stars = star_table(gs, {2: 0, 3: 0, 4: 1, 5: 1})
+    f = _forest(gs, stars)
     assert f.roots == (0, 1)
     assert f.root_of[0] == 0 and f.root_of[1] == 1
 
@@ -158,35 +163,58 @@ def test_forest_closure():
         if not ge.a or not ge.d_star:
             continue
         gs = build_gstar(g, ge)
-        sc = initial_cover(gs, [-1] * g.n)
-        if sc.max_degree() < 2:
+        stars = initial_cover(gs, [-1] * g.n)
+        if max_load(stars) < 2:
             continue
-        f = build_forest(gs, sc)
-        for d in _forest_d_side(f, sc):
+        f = _forest(gs, stars)
+        for d in _forest_d_side(f, stars):
             for a in gs.adj[d]:
                 assert a in f.root_of
 
 
-def _full_forest(gs, sc):
-    """Reference forest: every tree grown until its queue is empty, from
-    each A-vertex of maximum star size in ascending order."""
-    delta = sc.max_degree()
+def _full_forest(gs, stars):
+    """Reference forest: every tree grown until its queue of D-vertices is
+    empty, from each A-vertex of maximum star size in ascending order; each
+    tree edge names the D-vertex and its center."""
+    delta = max(len(ds) for ds in stars.values())
+    center = {d: a for a, ds in stars.items() for d in ds}
     root_of, pred, roots = {}, {}, []
-    for u in [a for a in gs.a_vertices if len(sc.stars[a]) == delta]:
+    for u in [a for a in gs.a_vertices if len(stars[a]) == delta]:
         if u in root_of:
             continue
         roots.append(u)
         root_of[u] = u
-        queue = deque(sc.stars[u])
+        queue = deque(stars[u])
         while queue:
             x = queue.popleft()
             for y in gs.adj[x]:
                 if y in root_of:
                     continue
                 root_of[y] = u
-                pred[y] = x
-                queue.extend(sc.stars[y])
+                pred[y] = (x, center[x])
+                queue.extend(stars[y])
     return AlternatingForest(tuple(roots), root_of, pred)
+
+
+def _check_forest_and_path(gs, stars):
+    """The forest equals full growth, each pred entry is a tree edge, and
+    the switching path read from it alternates; return both."""
+    f = _forest(gs, stars)
+    assert f == _full_forest(gs, stars)
+    for y, (x, a) in f.pred.items():
+        assert x in stars[a]
+        assert y in gs.adj[x]
+        assert f.root_of[a] == f.root_of[y]
+    path = find_switching_path(f, stars)
+    if path is not None:
+        verts = path.vertices
+        assert path.origin in f.roots
+        # each D-vertex is in the star of the center before it, and
+        # adjacent to the center after it
+        for a, d, a_next in zip(verts[0::2], verts[1::2], verts[2::2]):
+            assert d in stars[a]
+            assert a_next in gs.adj[d]
+    return f, path
 
 
 @pytest.mark.parametrize(
@@ -208,17 +236,18 @@ def _full_forest(gs, sc):
 def test_build_forest_stop_keeps_forest(a_side, adj, root_of):
     """Each D-vertex on its first A-neighbour; same forest as full growth."""
     gs = GStar(a_side, adj)
-    sc = StarCover(gs, {d: nb[0] for d, nb in adj.items()})
-    f = build_forest(gs, sc)
-    assert f == _full_forest(gs, sc)
+    stars = star_table(gs, {d: nb[0] for d, nb in adj.items()})
+    f = _forest(gs, stars)
+    assert f == _full_forest(gs, stars)
     assert f.root_of == root_of
 
 
 def test_build_forest_stop_keeps_forest_random():
     """Same roots, root_of and pred as full growth on random derived graphs
-    and covers, including every cover the balancing loop passes through."""
+    and covers, including every cover the balancing loop passes through;
+    every pred entry is a tree edge and every switching path alternates."""
     rng = random.Random(7)
-    all_claimed = 0
+    all_claimed = paths = 0
     for _ in range(400):
         a_side = list(range(rng.randint(1, 6)))
         n_a = len(a_side)
@@ -227,11 +256,12 @@ def test_build_forest_stop_keeps_forest_random():
             for i in range(rng.randint(1, 14))
         }
         gs = GStar(a_side, adj)
-        sc = StarCover(gs, {d: rng.choice(nb) for d, nb in adj.items()})
-        f = build_forest(gs, sc)
-        assert f == _full_forest(gs, sc)
+        stars = star_table(gs, {d: rng.choice(nb) for d, nb in adj.items()})
+        f, path = _check_forest_and_path(gs, stars)
+        paths += path is not None
         all_claimed += len(f.root_of) == n_a
     assert all_claimed >= 100
+    assert paths >= 100
     checked = 0
     for seed in range(200):
         g = random_connected_graph(20, p=0.15, seed=seed)
@@ -239,13 +269,13 @@ def test_build_forest_stop_keeps_forest_random():
         if not ge.a:
             continue
         gs = build_gstar(g, ge)
-        sc = initial_cover(gs, [-1] * g.n)
+        stars = initial_cover(gs, [-1] * g.n)
 
         def same_as_full(*_):
-            assert build_forest(gs, sc) == _full_forest(gs, sc)
+            _check_forest_and_path(gs, stars)
 
         same_as_full()
-        checked += optimize(gs, sc, trace=same_as_full) + 1
+        checked += optimize(gs, stars, trace=same_as_full) + 1
     assert checked >= 150
 
 
@@ -263,39 +293,39 @@ def test_build_forest_stops_once_every_a_vertex_is_claimed():
     """On K_{3,12} with every D-vertex on center 0, the first D-vertex
     reaches both other centers and no further adjacency list is read."""
     gs = GStar([0, 1, 2], {d: [0, 1, 2] for d in range(3, 15)})
-    sc = StarCover(gs, {d: 0 for d in range(3, 15)})
+    stars = star_table(gs, {d: 0 for d in range(3, 15)})
     gs.adj = _CountingAdj(gs.adj)
-    f = build_forest(gs, sc)
+    f = build_forest(gs, stars, 12)
     assert gs.adj.reads == 1
-    assert f == _full_forest(gs, sc)
-    assert f.pred == {1: 3, 2: 3}
+    assert f == _full_forest(gs, stars)
+    assert f.pred == {1: (3, 0), 2: (3, 0)}
 
 
 def test_find_switching_path_lopsided():
-    gs, sc = _lopsided()
-    path = find_switching_path(build_forest(gs, sc), sc)
+    gs, stars = _lopsided()
+    path = find_switching_path(_forest(gs, stars), stars)
     assert path is not None
     assert path.vertices == (0, 4, 1)
 
 
 def test_find_switching_path_none_on_full_star():
     gs = GStar([0], {1: [0], 2: [0], 3: [0]})
-    sc = StarCover(gs, {1: 0, 2: 0, 3: 0})
-    assert find_switching_path(build_forest(gs, sc), sc) is None
+    stars = star_table(gs, {1: 0, 2: 0, 3: 0})
+    assert find_switching_path(_forest(gs, stars), stars) is None
 
 
 def test_find_switching_path_none_when_degrees_close():
     gs = GStar([0, 1], {2: [0], 3: [0, 1], 4: [1]})
-    sc = StarCover(gs, {2: 0, 3: 0, 4: 1})
-    assert find_switching_path(build_forest(gs, sc), sc) is None
+    stars = star_table(gs, {2: 0, 3: 0, 4: 1})
+    assert find_switching_path(_forest(gs, stars), stars) is None
 
 
 def test_transform_lopsided():
-    gs, sc = _lopsided()
-    assert transform(sc, SwitchingPath((0, 4, 1))) is None
-    assert sc.center == {2: 0, 3: 0, 4: 1}
-    assert len(sc.stars[0]) == 2
-    assert len(sc.stars[1]) == 1
+    gs, stars = _lopsided()
+    assert transform(stars, SwitchingPath((0, 4, 1))) is None
+    assert stars == {0: [2, 3], 1: [4]}
+    assert len(stars[0]) == 2
+    assert len(stars[1]) == 1
 
 
 def test_transform_degree_bookkeeping():
@@ -310,40 +340,40 @@ def test_transform_degree_bookkeeping():
             12: [3],
         },
     )
-    sc = StarCover(
+    stars = star_table(
         gs,
         {4: 0, 5: 0, 6: 0, 7: 1, 8: 1, 9: 1, 10: 2, 11: 2, 12: 3},
     )
-    before = [len(sc.stars[a]) for a in (0, 1, 2, 3)]
+    before = [len(stars[a]) for a in (0, 1, 2, 3)]
     assert before == [3, 3, 2, 1]
-    transform(sc, SwitchingPath((0, 6, 1, 9, 2, 11, 3)))
-    after = [len(sc.stars[a]) for a in (0, 1, 2, 3)]
+    transform(stars, SwitchingPath((0, 6, 1, 9, 2, 11, 3)))
+    after = [len(stars[a]) for a in (0, 1, 2, 3)]
     assert after == [2, 3, 2, 2]
-    assert sc.max_degree() == 3
+    assert stars == {0: [4, 5], 1: [6, 7, 8], 2: [9, 10], 3: [11, 12]}
+    assert max_load(stars) == 3
 
 
 def test_optimize_lopsided_reaches_two():
-    gs, sc = _lopsided()
-    transforms = optimize(gs, sc)
-    assert sc.max_degree() == 2
-    assert sc.max_degree() == brute_md(gs)
+    gs, stars = _lopsided()
+    transforms = optimize(gs, stars)
+    assert max_load(stars) == 2
+    assert max_load(stars) == brute_md(gs)
     assert transforms == 1
 
 
 def test_optimize_perfect_cover_unchanged():
     gs = GStar([0, 1], {2: [0], 3: [1]})
-    sc = StarCover(gs, {2: 0, 3: 1})
-    before = dict(sc.center)
-    assert optimize(gs, sc) == 0
-    assert sc.center == before
-    assert sc.max_degree() == 1
+    stars = star_table(gs, {2: 0, 3: 1})
+    assert optimize(gs, stars) == 0
+    assert stars == {0: [2], 1: [3]}
+    assert max_load(stars) == 1
 
 
 def test_optimize_full_star_stuck_at_three():
     gs = GStar([0], {1: [0], 2: [0], 3: [0]})
-    sc = StarCover(gs, {1: 0, 2: 0, 3: 0})
-    optimize(gs, sc)
-    assert sc.max_degree() == 3
+    stars = star_table(gs, {1: 0, 2: 0, 3: 0})
+    optimize(gs, stars)
+    assert max_load(stars) == 3
     assert brute_md(gs) == 3
 
 
@@ -360,27 +390,26 @@ def test_optimize_matches_brute_md_random():
         def check_table():
             # one star per A-vertex, keyed ascending, each star ascending,
             # and every D-vertex in exactly one star
-            assert list(sc.stars) == list(gs.a_vertices)
-            assert all(ds == sorted(ds) for ds in sc.stars.values())
-            assert sum(map(len, sc.stars.values())) == len(gs.d_vertices)
+            assert list(stars) == list(gs.a_vertices)
+            assert all(ds == sorted(ds) for ds in stars.values())
+            assert sum(map(len, stars.values())) == len(gs.d_vertices)
 
         def after_transform(path, delta):
             deltas.append(delta)
             check_table()
 
-        sc = initial_cover(gs, [-1] * g.n)
+        stars = initial_cover(gs, [-1] * g.n)
         check_table()
-        transforms = optimize(gs, sc, trace=after_transform)
-        assert sc.max_degree() == brute_md(gs, BUDGET)
+        transforms = optimize(gs, stars, trace=after_transform)
+        assert max_load(stars) == brute_md(gs, BUDGET)
         assert transforms <= gs.size
         # the maximum star size never increases between transforms
         assert all(b <= a for a, b in zip(deltas, deltas[1:]))
-        # the in-place updates keep the nonempty stars equal to the
-        # grouping of center
-        grouped = {}
-        for d, a in sorted(sc.center.items()):
-            grouped.setdefault(a, []).append(d)
-        assert {a: ds for a, ds in sc.stars.items() if ds} == grouped
+        # the in-place updates keep every D-vertex in exactly one star,
+        # that of an A-neighbour
+        center = {d: a for a, ds in stars.items() for d in ds}
+        assert sorted(center) == list(gs.d_vertices)
+        assert all(a in gs.adj[d] for d, a in center.items())
         checked += 1
     assert checked >= 50
 
@@ -396,10 +425,10 @@ def test_optimize_complete_bipartite_closed_form(k, big, transforms):
     g = complete_bipartite_graph(k, big)
     ge = decompose(g)
     gs = build_gstar(g, ge)
-    sc = initial_cover(gs, ge.mate)
-    count = optimize(gs, sc)
+    stars = initial_cover(gs, ge.mate)
+    count = optimize(gs, stars)
     md = -(-big // k)
-    assert sc.max_degree() == md
+    assert max_load(stars) == md
     assert count <= gs.size
     if transforms is not None:
         assert count == transforms

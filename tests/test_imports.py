@@ -57,39 +57,92 @@ def test_modules_found():
     assert {"blossom", "gallai_edmonds", "oracle"} <= {p.stem for p in MODULES}
 
 
+def member_kind(node):
+    """"class" for a classmethod or staticmethod, "property" for a property
+    (cached or with a setter), "method" for a plain method."""
+    for dec in node.decorator_list:
+        name = dec.id if isinstance(dec, ast.Name) else getattr(dec, "attr", None)
+        if name in ("classmethod", "staticmethod"):
+            return "class"
+        if name in ("property", "cached_property", "setter", "getter", "deleter"):
+            return "property"
+    return "method"
+
+
 def public_definitions(module, tree):
-    """(qualified name, name) of each public module-level function or class
-    and of each public method or property of a module-level class."""
+    """(qualified name, name, kind, class node) of each public module-level
+    function or class (kind "global", no class node) and of each public
+    method or property of a module-level class (kind from
+    :func:`member_kind`)."""
     defs = (ast.FunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, defs) and not node.name.startswith("_"):
-            yield f"{module}.{node.name}", node.name
+            yield f"{module}.{node.name}", node.name, "global", None
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield f"{module}.{node.name}.{item.name}", item.name
+                    yield (
+                        f"{module}.{node.name}.{item.name}",
+                        item.name,
+                        member_kind(item),
+                        node,
+                    )
+
+
+def owner_reads(tree):
+    """(owner, attribute) for each attribute read off a bare name."""
+    return {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+    }
 
 
 def test_every_public_definition_is_referenced_or_exported():
-    """A public name counts as used if any src/ module (the CLI included)
-    reads it as a name or an attribute.  Names are matched, not bindings: a
-    method counts as used wherever an attribute of its name is read."""
+    """A public definition counts as used only where src/ (the CLI
+    included) really uses it:
+
+    - a module-level function or class, where it is read as a name or an
+      attribute, or exported from the package;
+    - a classmethod or staticmethod, where it is read off its own class
+      name, or off ``cls`` inside its class;
+    - a plain method, where an attribute of its name is called;
+    - a property, where an attribute of its name is read.
+
+    So a member is not kept alive by an unrelated attribute of its name,
+    such as a dataclass field or another class's classmethod.
+    """
     trees = {
         p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
         for p in MODULES
     }
-    referenced = set()
+    referenced, called, read, owned = set(), set(), set(), set()
     for tree in trees.values():
+        owned |= owner_reads(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                called.add(node.func.attr)
     referenced |= exported_names(trees["__init__"])
+
+    def used(name, kind, cls):
+        if kind == "global":
+            return name in referenced
+        if kind == "class":
+            return (cls.name, name) in owned or ("cls", name) in owner_reads(cls)
+        if kind == "method":
+            return name in called
+        return name in read
+
     unused = [
         qualified
         for module, tree in trees.items()
-        for qualified, name in public_definitions(module, tree)
-        if name not in referenced and qualified not in UNREFERENCED_OK
+        for qualified, name, kind, cls in public_definitions(module, tree)
+        if not used(name, kind, cls) and qualified not in UNREFERENCED_OK
     ]
     assert not unused, f"public but unused in src/ and not exported: {unused}"
