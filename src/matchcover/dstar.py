@@ -7,7 +7,9 @@ one adjacent A-vertex, and it is held as its star table alone: every
 A-vertex, ascending, maps to its D-vertices, ascending, and an idle center
 maps to ``[]``, so a center's load is the length of its star.  No map from a
 D-vertex to its center is kept; an alternating forest records its tree edges
-as (D-vertex, center) pairs instead.  The loop below keeps one table and
+as (D-vertex, center) pairs instead.  The seed table keeps the maximum
+matching's partners and places each exposed D-vertex on its least-loaded
+A-neighbour, so it starts near balance.  The loop below keeps one table and
 updates it in place: each switching path moves one unit of load from a
 most-loaded center to a much-less-loaded one, until the maximum star size
 cannot be reduced.  Nothing here re-checks what the pipeline built:
@@ -61,14 +63,31 @@ def initial_cover(gs: GStar, mate) -> dict[int, list[int]]:
     """Seed star table from a maximum matching of the host graph, given as
     its mate list (-1 for an exposed vertex).
 
-    Each D-vertex matched keeps its partner, ``mate[d]``; exposed
-    D-vertices go to their lowest-indexed A-neighbour.  Every neighbour of
-    a D*-vertex lies in A, so a partner is an A-neighbour too.  D-vertices
-    are placed in ascending order, so each star is ascending.
+    Each matched D-vertex keeps its partner ``mate[d]``, an A-neighbour
+    since every neighbour of a D*-vertex lies in A.  Then each exposed
+    D-vertex, ascending, goes to its least-loaded A-neighbour, ties to the
+    lowest id; loads count every partner and every exposed vertex placed
+    before it.  The cover starts near balance (K_{k,L}: balanced), which
+    leaves the loop few switching paths.  O(vol(D*)); the stars are sorted
+    at the end, so each is ascending.
     """
     stars: dict[int, list[int]] = {a: [] for a in gs.a_vertices}
+    adj = gs.adj
+    exposed = []
     for d in gs.d_vertices:
-        stars[mate[d] if mate[d] != -1 else gs.adj[d][0]].append(d)
+        if mate[d] == -1:
+            exposed.append(d)
+        else:
+            stars[mate[d]].append(d)
+    for d in exposed:
+        low = None
+        for a in adj[d]:
+            star = stars[a]
+            if low is None or len(star) < low:
+                best, low = star, len(star)
+        best.append(d)
+    for ds in stars.values():
+        ds.sort()
     return stars
 
 

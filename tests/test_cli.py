@@ -118,10 +118,11 @@ def test_solve_verify_flag(tmp_path, capsys):
 
 
 def test_solve_trace_flag(tmp_path, capsys):
-    # vertices 3..6 all reach center 1, but 5 and 6 also reach center 2;
-    # the seed cover piles three stars onto center 1 and one rebalancing
-    # transform moves a star to center 2
-    text = "p 6 6\ne 1 3\ne 1 4\ne 1 5\ne 1 6\ne 2 5\ne 2 6\n"
+    # centers 1 and 2 keep their partners 4 and 6; exposed vertex 3 reaches
+    # both, ties to center 1, and 5 reaches only center 1, so the seed
+    # cover holds 3, 4, 5 on center 1 and one rebalancing transform moves 3
+    # to center 2
+    text = "p 6 5\ne 1 3\ne 2 3\ne 1 4\ne 1 5\ne 2 6\n"
     code = main(["solve", "--trace", write(tmp_path, "t.g", text)])
     out = capsys.readouterr().out
     assert code == EXIT_OK
@@ -132,7 +133,7 @@ def test_solve_trace_flag(tmp_path, capsys):
 def test_solve_trace_flag_host_ids_per_component(tmp_path, capsys):
     # the instance above shifted by 2, plus a K2 on vertices 1-2: the
     # graph is solved whole, and the trace names host vertices (1-based)
-    text = "p 8 7\ne 1 2\ne 3 5\ne 3 6\ne 3 7\ne 3 8\ne 4 7\ne 4 8\n"
+    text = "p 8 6\ne 1 2\ne 3 5\ne 4 5\ne 3 6\ne 3 7\ne 4 8\n"
     code = main(["solve", "--trace", write(tmp_path, "t.g", text)])
     out = capsys.readouterr().out
     assert code == EXIT_OK

@@ -3,7 +3,7 @@ from collections import deque
 
 import pytest
 
-from matchcover import brute_md, random_connected_graph, solve
+from matchcover import Graph, brute_md, random_connected_graph, solve
 from matchcover.dstar import (
     AlternatingForest,
     GStar,
@@ -95,6 +95,46 @@ def test_initial_cover_two_disjoint_edges():
     assert stars == {0: [2], 1: [3]}
 
 
+def lowest_id_table(gs):
+    """Every D-vertex on its lowest-id A-neighbour: a far-from-balanced
+    start, so the balancing loop passes through many covers."""
+    return star_table(gs, {d: nb[0] for d, nb in gs.adj.items()})
+
+
+def test_initial_cover_tie_goes_to_lowest_id():
+    """Exposed 3 sees equal loads on 0 and 1 and takes 0; exposed 4 then
+    sees 0 loaded and takes 1; exposed 5 ties again and takes 0."""
+    gs = GStar([0, 1], {3: [0, 1], 4: [0, 1], 5: [0, 1]})
+    assert initial_cover(gs, [-1] * 6) == {0: [3, 5], 1: [4]}
+
+
+def test_initial_cover_counts_partners_before_exposed():
+    """Partner 5 of center 0 counts before any exposed vertex is placed,
+    although it has the highest id, so exposed 2 avoids center 0; a table
+    that counted only the vertices before 2 in id order would put it there.
+    Exposed 3 then ties and takes center 0."""
+    gs = GStar([0, 1], {2: [0, 1], 3: [0, 1], 5: [0]})
+    mate = [5, -1, -1, -1, -1, 0]
+    assert initial_cover(gs, mate) == {0: [3, 5], 1: [2]}
+
+
+def test_initial_cover_least_loaded_neighbour():
+    """Exposed 6 goes to center 2, the only neighbour with an empty star,
+    past the lower ids 0 and 1 that hold partners."""
+    gs = GStar([0, 1, 2], {3: [0], 4: [1], 5: [0, 1], 6: [0, 1, 2]})
+    mate = [3, 4, -1, 0, 1, -1, -1]
+    assert initial_cover(gs, mate) == {0: [3, 5], 1: [4], 2: [6]}
+
+
+def test_initial_cover_stars_ascending():
+    """An exposed vertex below a partner lands before it in the star."""
+    gs = GStar([0, 1], {2: [0], 3: [1], 4: [0, 1], 5: [1]})
+    mate = [5, 2, 1, -1, -1, 0]
+    stars = initial_cover(gs, mate)
+    assert stars == {0: [4, 5], 1: [2, 3]}
+    assert all(ds == sorted(ds) for ds in stars.values())
+
+
 def test_effective_degree():
     """A center's effective degree is its star's length; the idle A-vertex
     3 holds an empty star, and no D-vertex keys the table."""
@@ -163,7 +203,7 @@ def test_forest_closure():
         if not ge.a or not ge.d_star:
             continue
         gs = build_gstar(g, ge)
-        stars = initial_cover(gs, [-1] * g.n)
+        stars = lowest_id_table(gs)
         if max_load(stars) < 2:
             continue
         f = _forest(gs, stars)
@@ -269,7 +309,7 @@ def test_build_forest_stop_keeps_forest_random():
         if not ge.a:
             continue
         gs = build_gstar(g, ge)
-        stars = initial_cover(gs, [-1] * g.n)
+        stars = lowest_id_table(gs)
 
         def same_as_full(*_):
             _check_forest_and_path(gs, stars)
@@ -414,14 +454,86 @@ def test_optimize_matches_brute_md_random():
     assert checked >= 50
 
 
+def test_optimize_from_matching_seed_matches_brute_md_random():
+    """Seeded as ``solve`` seeds it, from the maximum matching's partners,
+    the balancing loop still reaches md on random graphs up to n = 12."""
+    checked = transformed = 0
+    for seed in range(1000):
+        n = 6 + seed % 7
+        g = random_connected_graph(n, p=0.2 + 0.05 * (seed % 5), seed=seed)
+        ge = decompose(g)
+        if not ge.a:
+            continue
+        gs = build_gstar(g, ge)
+        stars = initial_cover(gs, ge.mate)
+        assert list(stars) == list(gs.a_vertices)
+        assert all(ds == sorted(ds) for ds in stars.values())
+        assert all(ge.mate[d] in stars and d in stars[ge.mate[d]]
+                   for d in gs.d_vertices if ge.mate[d] != -1)
+        count = optimize(gs, stars)
+        assert max_load(stars) == brute_md(gs, BUDGET)
+        assert count <= gs.size
+        center = {d: a for a, ds in stars.items() for d in ds}
+        assert sorted(center) == list(gs.d_vertices)
+        assert all(a in gs.adj[d] for d, a in center.items())
+        checked += 1
+        transformed += count > 0
+    assert checked >= 400
+    assert transformed >= 10
+
+
+@pytest.mark.parametrize("k, big", [(2, 7), (3, 10), (4, 122), (7, 451), (10, 885)])
+@pytest.mark.parametrize("relabel", [False, True])
+def test_initial_cover_balances_complete_bipartite(k, big, relabel):
+    """On K_{k,L} the seed is already balanced at ceil(L/k), with the ids
+    in block order or shuffled, and the loop applies no transform."""
+    edges = [(a, k + d) for a in range(k) for d in range(big)]
+    if relabel:
+        perm = list(range(k + big))
+        random.Random(k).shuffle(perm)
+        edges = [(perm[u], perm[v]) for u, v in edges]
+    g = Graph.from_edges(k + big, edges)
+    ge = decompose(g)
+    gs = build_gstar(g, ge)
+    stars = initial_cover(gs, ge.mate)
+    assert max_load(stars) == -(-big // k)
+    assert optimize(gs, stars) == 0
+
+
+def skewed_host(a):
+    """Random bipartite host with a barrier of a A-vertices 0..a-1 and 10a
+    D-vertices: each D-vertex joins one A-vertex among the lowest a/10 ids
+    and one uniform A-vertex (one edge when the two coincide)."""
+    rng = random.Random(1)
+    edges = set()
+    for d in range(a, 11 * a):
+        edges.add((rng.randrange(a // 10), d))
+        edges.add((rng.randrange(a), d))
+    return Graph.from_edges(11 * a, sorted(edges))
+
+
+def test_optimize_skewed_host_transforms_at_most_a():
+    """A lowest-id start piles D* onto the low tenth of A and needs 1942
+    transforms at a = 250; seeded least-loaded it needs at most |A| (64)."""
+    g = skewed_host(250)
+    ge = decompose(g)
+    gs = build_gstar(g, ge)
+    assert len(gs.a_vertices) == 250 and len(gs.d_vertices) == 2500
+    stars = initial_cover(gs, ge.mate)
+    assert optimize(gs, stars) <= len(gs.a_vertices)
+    assert max_load(stars) == solve(g).md
+
+
 @pytest.mark.parametrize(
     "k, big, transforms",
     [(1, 5, None), (2, 3, None), (3, 10, None), (4, 17, None),
-     (7, 23, None), (5, 60, None), (20, 2000, 1881)],
+     (7, 23, None), (5, 60, None), (20, 2000, 0)],
 )
 def test_optimize_complete_bipartite_closed_form(k, big, transforms):
     """K_{k,L} with L > k: the large side is D*, the small side A, and the
-    stars balance to md = ceil(L/k), which is also mc."""
+    stars balance to md = ceil(L/k), which is also mc.  The least-loaded
+    seed deals the exposed side round the centers, so K_{20,2000} needs no
+    transform (1881 from a lowest-id seed)."""
     g = complete_bipartite_graph(k, big)
     ge = decompose(g)
     gs = build_gstar(g, ge)
