@@ -468,8 +468,7 @@ def test_optimize_from_matching_seed_matches_brute_md_random():
         stars = initial_cover(gs, ge.mate)
         assert list(stars) == list(gs.a_vertices)
         assert all(ds == sorted(ds) for ds in stars.values())
-        assert all(ge.mate[d] in stars and d in stars[ge.mate[d]]
-                   for d in gs.d_vertices if ge.mate[d] != -1)
+        assert all(d in stars[ge.mate[d]] for d in gs.d_vertices if ge.mate[d] != -1)
         count = optimize(gs, stars)
         assert max_load(stars) == brute_md(gs, BUDGET)
         assert count <= gs.size
@@ -487,12 +486,11 @@ def test_optimize_from_matching_seed_matches_brute_md_random():
 def test_initial_cover_balances_complete_bipartite(k, big, relabel):
     """On K_{k,L} the seed is already balanced at ceil(L/k), with the ids
     in block order or shuffled, and the loop applies no transform."""
-    edges = [(a, k + d) for a in range(k) for d in range(big)]
+    g = complete_bipartite_graph(k, big)
     if relabel:
-        perm = list(range(k + big))
+        perm = list(range(g.n))
         random.Random(k).shuffle(perm)
-        edges = [(perm[u], perm[v]) for u, v in edges]
-    g = Graph.from_edges(k + big, edges)
+        g = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
     ge = decompose(g)
     gs = build_gstar(g, ge)
     stars = initial_cover(gs, ge.mate)
