@@ -29,15 +29,11 @@ class Matching:
     ``pairs`` lists the edges as ascending (u, v) pairs with u < v, as the
     blossom engine and assembly build them.  The constructor checks
     nothing; :func:`~matchcover.cover.verify_cover` checks a whole cover
-    against its graph.  ``len`` is O(1), and :meth:`edges` costs O(|M|)
-    whatever n is.
+    against its graph.  ``len`` is O(1).
     """
 
     n: int
     pairs: tuple[tuple[int, int], ...]
-
-    def edges(self) -> list[tuple[int, int]]:
-        return list(self.pairs)
 
     def __len__(self) -> int:
         return len(self.pairs)

@@ -37,7 +37,7 @@ def _load_graph(path: str):
         print(f"error: {path}: not UTF-8 text: {exc}", file=sys.stderr)
         return None, EXIT_USAGE
     try:
-        n, pairs, edge_set = _parse_pairs(text)
+        n, pairs = _parse_pairs(text)
     except GraphFormatError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return None, EXIT_USAGE
@@ -47,7 +47,7 @@ def _load_graph(path: str):
         v = next(v for v in range(n) if v not in ends)
         print(f"error: {NoCoverError.isolated(v)}", file=sys.stderr)
         return None, EXIT_NO_COVER
-    return Graph._from_checked_pairs(n, pairs, edge_set), EXIT_OK
+    return Graph._from_checked_pairs(n, pairs), EXIT_OK
 
 
 def _internal_error(exc: Exception) -> int:
@@ -59,7 +59,7 @@ def _internal_error(exc: Exception) -> int:
 
 
 def _fmt_matching(m) -> str:
-    return " ".join(f"{u + 1}-{v + 1}" for u, v in m.edges())
+    return " ".join(f"{u + 1}-{v + 1}" for u, v in m.pairs)
 
 
 def cmd_solve(args) -> int:
@@ -101,7 +101,7 @@ def cmd_solve(args) -> int:
             "md": result.md,
             "transforms": result.transforms,
             "cover": [
-                [[u + 1, v + 1] for u, v in m.edges()]
+                [[u + 1, v + 1] for u, v in m.pairs]
                 for m in result.cover.matchings
             ],
         }

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,22 +41,27 @@ def verify_cover(g: Graph, mc: MatchingCover) -> bool:
     """True iff every listed matching is a matching of g and their union
     covers V(g).
 
-    One pass over the cover's edges, O(n + sum of |M_i|): each pair must be
-    an edge (u, v), u < v, of g, which also rules out self-pairs and
-    out-of-range ends; a per-vertex stamp of the last level that covered it
-    rejects two pairs of one level sharing a vertex, and every stamp must
-    be set at the end.  A matching of another vertex count is rejected.
-    Optimality is not checked here; that is the oracle's job.
+    One pass over the cover's edges, O(n + sum of |M_i| log Δ), Δ the
+    largest degree: each pair (u, v) must have 0 <= u < v < n, which rules
+    out self-pairs, reversed pairs and out-of-range ends, and v must be in
+    u's sorted adjacency list, found by binary search; a per-vertex stamp of
+    the last level that covered it rejects two pairs of one level sharing a
+    vertex, and every stamp must be set at the end.  A matching of another
+    vertex count is rejected.  Optimality is not checked here; that is the
+    oracle's job.
     """
-    edge_set = g.edge_set
-    level_of = [0] * g.n
+    n, adjacency = g.n, g.adjacency
+    level_of = [0] * n
     for level, m in enumerate(mc.matchings, start=1):
-        if m.n != g.n:
+        if m.n != n:
             return False
-        for e in m.pairs:
-            if e not in edge_set:
+        for u, v in m.pairs:
+            if not 0 <= u < v < n:
                 return False
-            u, v = e
+            nbrs = adjacency[u]
+            i = bisect_left(nbrs, v)
+            if i == len(nbrs) or nbrs[i] != v:
+                return False
             if level_of[u] == level or level_of[v] == level:
                 return False
             level_of[u] = level_of[v] = level

@@ -7,6 +7,9 @@ from itertools import combinations
 
 from .graph import Graph, components
 
+# G(n, p) samples drawn before giving up on a connected one
+MAX_ATTEMPTS = 10000
+
 
 def random_connected_graph(
     n: int,
@@ -14,11 +17,11 @@ def random_connected_graph(
     p: float | None = None,
     m: int | None = None,
     seed: int = 0,
-    max_attempts: int = 10000,
 ) -> Graph:
     """Connected graph on n vertices, reproducible per seed.
 
-    With edge probability p, samples G(n, p) and rejects until connected.
+    With edge probability p, samples G(n, p) and rejects until connected;
+    ValueError if none of MAX_ATTEMPTS samples is.
     With an edge count m, builds a random attachment tree and adds random
     extra edges, which is connected by construction and stays practical for
     large sparse instances where rejection would almost never succeed.
@@ -31,13 +34,13 @@ def random_connected_graph(
     if p is not None:
         if not (0.0 <= p <= 1.0):
             raise ValueError("edge probability must be in [0, 1]")
-        for _ in range(max_attempts):
+        for _ in range(MAX_ATTEMPTS):
             edges = [e for e in combinations(range(n), 2) if rng.random() < p]
             g = Graph.from_edges(n, edges)
             if len(components(g)) == 1:
                 return g
-        raise RuntimeError(
-            f"no connected sample in {max_attempts} attempts (n={n}, p={p})"
+        raise ValueError(
+            f"no connected sample in {MAX_ATTEMPTS} attempts (n={n}, p={p})"
         )
     if m < n - 1:
         raise ValueError(f"{m} edges cannot connect {n} vertices")

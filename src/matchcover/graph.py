@@ -5,8 +5,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Iterable
 
 
@@ -24,9 +23,11 @@ class GraphFormatError(ValueError):
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    Edges are stored as (u, v) pairs with u < v in ascending order, and each
-    adjacency list is sorted ascending, so all iteration is reproducible.
-    Instances are immutable and safe to share between threads.
+    The three fields are the whole graph; nothing else is cached.  Edges
+    are stored as (u, v) pairs with u < v in ascending order, and each
+    adjacency list is sorted ascending, so all iteration is reproducible
+    and edge membership is a binary search in one list.  Instances are
+    immutable and safe to share between threads.
     """
 
     n: int
@@ -50,37 +51,22 @@ class Graph:
             seen.add(e)
             norm.append(e)
         norm.sort()
-        return cls._from_checked_pairs(n, norm, frozenset(seen))
+        return cls._from_checked_pairs(n, norm)
 
     @classmethod
-    def _from_checked_pairs(
-        cls, n: int, pairs: list[tuple[int, int]], edge_set: frozenset | None = None
-    ) -> "Graph":
-        """Build from distinct ascending pairs (u, v), 0 <= u < v < n, unchecked.
-
-        ``edge_set`` is the frozenset of the pairs, when a caller has built
-        one to reject duplicates; it becomes the graph's :attr:`edge_set`.
-        """
+    def _from_checked_pairs(cls, n: int, pairs: list[tuple[int, int]]) -> "Graph":
+        """Build from distinct ascending pairs (u, v), 0 <= u < v < n, unchecked."""
         # once the pairs are sorted, each vertex meets its lower neighbours
         # (as v) before its higher ones, so every adjacency list is ascending
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in pairs:
             adj[u].append(v)
             adj[v].append(u)
-        g = cls(n, tuple(pairs), tuple(map(tuple, adj)))
-        if edge_set is not None:
-            # the cached_property's slot; the dataclass is frozen, and its
-            # equality and hash read only the three fields
-            g.__dict__["edge_set"] = edge_set
-        return g
+        return cls(n, tuple(pairs), tuple(map(tuple, adj)))
 
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -109,13 +95,13 @@ def parse_graph(text: str) -> Graph:
     return Graph._from_checked_pairs(*_parse_pairs(text))
 
 
-def _parse_pairs(text: str) -> tuple[int, list[tuple[int, int]], frozenset]:
-    """Checked n, ascending 0-indexed pairs and their frozenset; no adjacency."""
+def _parse_pairs(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """Checked n and ascending 0-indexed pairs; no adjacency."""
     parsed = _parse_canonical(text)
     return _parse_lines(text) if parsed is None else parsed
 
 
-def _parse_canonical(text: str) -> tuple[int, list, frozenset] | None:
+def _parse_canonical(text: str) -> tuple[int, list] | None:
     """The parsed pairs of a valid canonical-layout text, or None to read it
     line by line (another layout, or a check failed)."""
     if text.endswith("\n"):
@@ -131,8 +117,8 @@ def _parse_canonical(text: str) -> tuple[int, list, frozenset] | None:
         vs = list(map(int, tokens[5::3]))
     except ValueError:  # a digit string beyond int's length limit
         return None
-    # each list is dropped once read: at most two lists of m objects are
-    # alive at a time, which keeps peak memory at the line-by-line reader's
+    # each list is dropped once the next is built: from here on at most two
+    # lists of m objects are alive at a time
     del tokens
     if n < 1 or len(us) != m:
         return None
@@ -149,15 +135,14 @@ def _parse_canonical(text: str) -> tuple[int, list, frozenset] | None:
     keys = [u * n + v - shift if u < v else v * n + u - shift for u, v in zip(us, vs)]
     del us, vs
     keys.sort()
-    pairs = list(map(divmod, keys, repeat(n)))
-    del keys
-    edge_set = frozenset(pairs)
-    if len(edge_set) != m:
+    # a duplicate has its twin's key in either orientation, so it sorts next
+    # to it; the line reader then names its line
+    if any(map(operator.eq, keys, islice(keys, 1, None))):
         return None
-    return n, pairs, edge_set
+    return n, list(map(divmod, keys, repeat(n)))
 
 
-def _parse_lines(text: str) -> tuple[int, list, frozenset]:
+def _parse_lines(text: str) -> tuple[int, list]:
     """Line-by-line reader for every accepted layout; names the bad line."""
     n = None
     m = None
@@ -206,7 +191,7 @@ def _parse_lines(text: str) -> tuple[int, list, frozenset]:
     if len(edges) != m:
         raise GraphFormatError(f"header declares {m} edges, found {len(edges)}")
     edges.sort()
-    return n, edges, frozenset(seen)
+    return n, edges
 
 
 def serialize_graph(g: Graph) -> str:

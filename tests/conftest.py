@@ -43,7 +43,7 @@ def is_matching_of(g, m):
     edges (u, v), u < v, of g."""
     return (
         m.n == g.n
-        and all(e in g.edge_set for e in m.pairs)
+        and all(0 <= u < v < g.n and v in g.adjacency[u] for u, v in m.pairs)
         and len(covered_by(m)) == 2 * len(m)
     )
 

@@ -153,7 +153,7 @@ def test_criterion_6_cover_validity(corpus):
         ok = ok and verify_cover(inst.graph, cover)
         for m in cover.matchings:
             seen = set()
-            for u, v in m.edges():
+            for u, v in m.pairs:
                 ok = ok and u not in seen and v not in seen
                 seen.update((u, v))
     verdict(6, "cover validity", ok)

@@ -55,7 +55,7 @@ def test_augment_empty_on_k2():
     """The empty matching of K2 is not maximum; growing it adds the edge."""
     g = Graph.from_edges(2, [(0, 1)])
     assert decompose(g).mate == (1, 0)
-    assert grow(g).edges() == [(0, 1)]
+    assert grow(g).pairs == ((0, 1),)
 
 
 def test_augment_none_when_maximum():
@@ -85,7 +85,7 @@ def test_augmentation_grows_coverage():
 
 def test_covering_p4_forced():
     m = grow(path_graph(4), [(1, 2)])
-    assert set(m.edges()) == {(0, 1), (2, 3)}
+    assert set(m.pairs) == {(0, 1), (2, 3)}
 
 
 def test_covering_c3_empty_seed():
@@ -194,7 +194,7 @@ def test_augment_joins_two_trees_past_a_hungarian_one():
     trees from 2, 3 and 6.  Root 2's tree through 0 is Hungarian; the trees
     of 3 and 6 meet on the edge 5-6, which gives the path 3-4-5-6."""
     m = grow(spider((1, 1, 4)), [(0, 1), (4, 5)])
-    assert m.edges() == [(0, 1), (3, 4), (5, 6)]
+    assert m.pairs == ((0, 1), (3, 4), (5, 6))
 
 
 def test_one_search_state_per_pass(monkeypatch):

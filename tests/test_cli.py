@@ -182,9 +182,9 @@ def test_solve_rejects_header_beyond_twice_the_edges(tmp_path, capsys, monkeypat
     adjacency lists."""
     real = Graph._from_checked_pairs
 
-    def guarded(n, pairs, edge_set=None):
+    def guarded(n, pairs):
         assert n <= 2 * len(pairs), "graph built for a header beyond 2m"
-        return real(n, pairs, edge_set)
+        return real(n, pairs)
 
     monkeypatch.setattr(Graph, "_from_checked_pairs", guarded)
     for text, v in [
@@ -249,6 +249,18 @@ def test_random_deterministic(capsys):
 def test_random_too_few_edges_exit_2(capsys):
     code = main(["random", "--n", "4", "--m", "2", "--seed", "0"])
     assert code == EXIT_USAGE
+
+
+def test_random_no_connected_sample_exit_2(capsys):
+    """G(3, 0) is never connected: exit 2 with one error line and no
+    traceback, not 1, which is oracle's mismatch code."""
+    code = main(["random", "--n", "3", "--p", "0", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == (
+        "error: no connected sample in 10000 attempts (n=3, p=0.0)\n"
+    )
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])

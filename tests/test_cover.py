@@ -36,7 +36,7 @@ def test_p4_perfect():
     g = path_graph(4)
     cover = solve(g).cover
     assert cover.k == 1
-    assert set(cover.matchings[0].edges()) == {(0, 1), (2, 3)}
+    assert set(cover.matchings[0].pairs) == {(0, 1), (2, 3)}
 
 
 def test_c3_factor_critical():
@@ -52,7 +52,7 @@ def test_star_three_leaves():
     res = solve(g)
     assert res.cover.k == 3
     assert res.branch == "gstar"
-    edge_sets = [set(m.edges()) for m in res.cover.matchings]
+    edge_sets = [set(m.pairs) for m in res.cover.matchings]
     assert edge_sets == [{(0, 1)}, {(0, 2)}, {(0, 3)}]
 
 
@@ -60,7 +60,7 @@ def test_p3():
     g = path_graph(3)
     res = solve(g)
     assert res.cover.k == 2
-    assert [set(m.edges()) for m in res.cover.matchings] == [{(0, 1)}, {(1, 2)}]
+    assert [set(m.pairs) for m in res.cover.matchings] == [{(0, 1)}, {(1, 2)}]
     assert res.md == 2
 
 
@@ -93,14 +93,22 @@ def test_verify_cover_rejects_non_edge():
     # nor in a later level, after a level that alone covers V
     full = Matching(4, ((0, 1), (2, 3)))
     assert not verify_cover(g, MatchingCover((full, Matching(4, ((0, 2),)))))
+    # vertex 0 has neighbours 2, 4, 6: non-edges from 0 whose second end
+    # sorts before, between and after them, each after a perfect level
+    g = Graph.from_edges(8, [(0, 2), (0, 4), (0, 6), (1, 3), (4, 5), (6, 7)])
+    full = Matching(8, ((0, 2), (1, 3), (4, 5), (6, 7)))
+    assert verify_cover(g, MatchingCover((full, Matching(8, ((0, 4),)))))
+    for pair in [(0, 1), (0, 3), (0, 5), (0, 7)]:
+        assert not verify_cover(g, MatchingCover((full, Matching(8, (pair,)))))
 
 
 def test_verify_cover_rejects_self_and_out_of_range_pairs():
     g = path_graph(4)
     full = Matching(4, ((0, 1), (2, 3)))
-    # -1 must not wrap around to vertex 3; (1, 0) is edge 0-1 reversed, not
-    # a pair in ascending form
-    for pair in [(1, 1), (3, 3), (-1, 3), (3, 4), (4, 5), (1, 0)]:
+    # -1 must not wrap around to vertex 3, nor -2 to vertex 2 (edge 2-3) or
+    # -4 to vertex 0 (edge 0-1); (1, 0) is edge 0-1 reversed, not a pair in
+    # ascending form
+    for pair in [(1, 1), (3, 3), (-1, 3), (-2, 3), (-4, 1), (3, 4), (4, 5), (1, 0)]:
         assert not verify_cover(g, MatchingCover((full, Matching(4, (pair,)))))
 
 

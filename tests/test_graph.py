@@ -11,6 +11,7 @@ from matchcover import (
     random_connected_graph,
     serialize_graph,
 )
+from matchcover import generate
 from matchcover.graph import _parse_canonical, _parse_lines
 from matchcover.oracle import neighbor_set
 
@@ -144,6 +145,16 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(3, [(0, 1), (1, 0)])
     with pytest.raises(ValueError, match="out of range"):
         Graph.from_edges(2, [(0, 2)])
+
+
+def test_random_graph_without_connected_sample(monkeypatch):
+    """A G(n, p) that never samples connected gives up with ValueError after
+    MAX_ATTEMPTS samples."""
+    with pytest.raises(ValueError, match=r"in 10000 attempts \(n=3, p=0.0\)"):
+        random_connected_graph(3, p=0.0, seed=1)
+    monkeypatch.setattr(generate, "MAX_ATTEMPTS", 5)
+    with pytest.raises(ValueError, match="no connected sample in 5 attempts"):
+        random_connected_graph(3, p=0.0, seed=1)
 
 
 def test_parse_serialize_round_trip_random():
@@ -280,10 +291,10 @@ def test_bulk_parse_agrees_with_line_reader():
         assert kind in joined
 
 
-def test_edge_set_seeded_and_transparent():
-    """Parsed and from_edges graphs carry their edge set from construction;
-    it holds each edge once, as (u, v) with u < v, and does not affect
-    equality or hashing."""
+def test_graph_is_its_three_fields():
+    """Parsed (canonical and CRLF), from_edges and directly built graphs
+    hold n, edges and adjacency and nothing else, and are equal with equal
+    hashes."""
     rng = random.Random(9)
     for seed in range(20):
         n = rng.randrange(2, 30)
@@ -294,13 +305,10 @@ def test_edge_set_seeded_and_transparent():
             parse_graph(text),
             parse_graph(text.replace("\n", "\r\n")),
             Graph.from_edges(n, [(v, u) for u, v in reversed(g0.edges)]),
+            Graph(g0.n, g0.edges, g0.adjacency),
         ):
-            assert "edge_set" in g.__dict__
-            assert g.edge_set == frozenset(g.edges)
-            assert all(u < v for u, v in g.edge_set)
-            plain = Graph(g.n, g.edges, g.adjacency)
-            assert "edge_set" not in plain.__dict__
-            assert plain == g and hash(plain) == hash(g)
+            assert set(vars(g)) == {"n", "edges", "adjacency"}
+            assert g == g0 and hash(g) == hash(g0)
 
 
 def test_induced_subgraph_matches_edge_filter():
