@@ -72,7 +72,8 @@ def cmd_solve(args) -> int:
 
         def trace(path, delta):
             print(
-                f"transform: origin={path.origin + 1} terminus={path.terminus + 1}"
+                f"transform: origin={path.vertices[0] + 1}"
+                f" terminus={path.vertices[-1] + 1}"
                 f" length={len(path.vertices) - 1} delta={delta}"
             )
 

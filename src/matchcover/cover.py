@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .blossom import Matching, _from_mate, _maximize, _unchecked_matching
-from .dstar import SwitchingPath, build_gstar, initial_cover, max_load, optimize
+from .dstar import SwitchingPath, initial_cover, max_load, optimize
 from .errors import InternalInvariantError, NoCoverError
 from .gallai_edmonds import GallaiEdmonds, decompose
 from .graph import Graph
@@ -115,15 +115,14 @@ def _solve_cases(g, trace):
             transforms=0,
             gstar_size=None,
         )
-    gs = build_gstar(g, ge)
-    stars = initial_cover(gs, ge.mate)
-    transforms = optimize(gs, stars, trace)
+    stars = initial_cover(g.adjacency, ge.a, ge.d_star, ge.mate)
+    transforms = optimize(g.adjacency, stars, trace)
     return SolveResult(
         cover=assemble(g, ge, stars),
         branch="gstar",
         md=max_load(stars),
         transforms=transforms,
-        gstar_size=gs.size,
+        gstar_size=len(ge.a) + len(ge.d_star),
     )
 
 

@@ -1,20 +1,21 @@
-"""Star covers of the derived bipartite graph and their balancing loop.
+"""Star covers of A over D*, and their balancing loop, on the host graph.
 
-The derived graph joins the A-vertices to the D-vertices (members of D with
-no neighbour in D, the set D*); every neighbour of a D*-vertex lies in A, so
-it is read off D*'s adjacency lists.  A star cover assigns every D-vertex to
-one adjacent A-vertex, and it is held as its star table alone: every
-A-vertex, ascending, maps to its D-vertices, ascending, and an idle center
-maps to ``[]``, so a center's load is the length of its star.  No map from a
-D-vertex to its center is kept; an alternating forest records its tree edges
-as (D-vertex, center) pairs instead.  The seed table keeps the maximum
-matching's partners and places each exposed D-vertex on its least-loaded
-A-neighbour, so it starts near balance.  The loop below keeps one table and
-updates it in place: each switching path moves one unit of load from a
-most-loaded center to a much-less-loaded one, until the maximum star size
-cannot be reduced.  Nothing here re-checks what the pipeline built:
-``decompose`` certifies M and A (Tutte-Berge), :func:`optimize` its transform
-bound and maximum star size, and ``solve`` the final cover.
+Every neighbour of a D*-vertex (a member of D with no neighbour in D) lies
+in A, so its host adjacency list is its whole neighbourhood in the derived
+bipartite graph between A and D*, and no derived-graph object is built.  A
+star cover assigns every D*-vertex to one adjacent A-vertex, and it is held
+as its star table alone: every A-vertex, ascending, maps to its
+D*-vertices, ascending, and an idle center maps to ``[]``, so a center's
+load is the length of its star.  No map from a D*-vertex to its center is
+kept; an alternating forest records its tree edges as (D*-vertex, center)
+pairs instead.  The seed table keeps the maximum matching's partners and
+places each exposed D*-vertex on its least-loaded A-neighbour, so it starts
+near balance.  The loop below keeps one table and updates it in place: each
+switching path moves one unit of load from a most-loaded center to a
+much-less-loaded one, until the maximum star size cannot be reduced.
+Nothing here re-checks what the pipeline built: ``decompose`` certifies M
+and A (Tutte-Berge), :func:`optimize` its transform bound and maximum star
+size, and ``solve`` the final cover.
 """
 
 from __future__ import annotations
@@ -25,33 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import InternalInvariantError
-from .gallai_edmonds import GallaiEdmonds
-from .graph import Graph
-
-
-class GStar:
-    """Bipartite graph between A-vertices and D-vertices, in host vertex ids.
-
-    ``adj`` maps each D-vertex to its A-neighbours (the D side only), kept
-    unchecked: D*'s host adjacency lists are ascending, distinct, nonempty
-    (``solve`` rejects isolated vertices) and inside A.
-    """
-
-    def __init__(self, a_vertices, adj):
-        self.a_vertices: tuple[int, ...] = tuple(sorted(a_vertices))
-        self.d_vertices: tuple[int, ...] = tuple(sorted(adj))
-        self.adj: dict[int, tuple[int, ...]] = adj
-
-    @property
-    def size(self) -> int:
-        return len(self.a_vertices) + len(self.d_vertices)
-
-
-def build_gstar(g: Graph, ge: GallaiEdmonds) -> GStar:
-    """Derived bipartite graph of g; requires a nonempty A side."""
-    if not ge.a:
-        raise ValueError("decomposition has empty A; the derived graph is not defined")
-    return GStar(ge.a, {d: g.adjacency[d] for d in ge.d_star})
 
 
 def max_load(stars: dict[int, list[int]]) -> int:
@@ -59,9 +33,9 @@ def max_load(stars: dict[int, list[int]]) -> int:
     return max(map(len, stars.values()), default=0)
 
 
-def initial_cover(gs: GStar, mate) -> dict[int, list[int]]:
-    """Seed star table from a maximum matching of the host graph, given as
-    its mate list (-1 for an exposed vertex).
+def initial_cover(adj, a, d_star, mate) -> dict[int, list[int]]:
+    """Seed star table of A over D*, from the host adjacency lists and a
+    maximum matching given as its mate list (-1 for an exposed vertex).
 
     Each matched D-vertex keeps its partner ``mate[d]``, an A-neighbour
     since every neighbour of a D*-vertex lies in A.  Then each exposed
@@ -71,18 +45,17 @@ def initial_cover(gs: GStar, mate) -> dict[int, list[int]]:
     leaves the loop few switching paths.  O(vol(D*)); the stars are sorted
     at the end, so each is ascending.
     """
-    stars: dict[int, list[int]] = {a: [] for a in gs.a_vertices}
-    adj = gs.adj
+    stars: dict[int, list[int]] = {u: [] for u in sorted(a)}
     exposed = []
-    for d in gs.d_vertices:
+    for d in sorted(d_star):
         if mate[d] == -1:
             exposed.append(d)
         else:
             stars[mate[d]].append(d)
     for d in exposed:
         low = None
-        for a in adj[d]:
-            star = stars[a]
+        for u in adj[d]:
+            star = stars[u]
             if low is None or len(star) < low:
                 best, low = star, len(star)
         best.append(d)
@@ -91,26 +64,17 @@ def initial_cover(gs: GStar, mate) -> dict[int, list[int]]:
     return stars
 
 
-@dataclass
-class AlternatingForest:
-    """Disjoint alternating trees rooted at the maximum centers.
-
-    root_of maps every A-vertex in the forest to its tree root; pred maps
-    each non-root A-vertex y to its tree edge (x, a): the D-vertex x it was
-    attached through and x's center a, the tree parent of y.  The forest's
-    D side is the union of its A-vertices' stars.
-    """
-
-    roots: tuple[int, ...]
-    root_of: dict[int, int]
-    pred: dict[int, tuple[int, int]]
-
-
 def build_forest(
-    gs: GStar, stars: dict[int, list[int]], delta: int
-) -> AlternatingForest:
+    adj, stars: dict[int, list[int]], delta: int
+) -> tuple[dict[int, int], dict[int, tuple[int, int]]]:
     """Near-maximal alternating forest rooted at the centers whose star has
-    the table's largest size, delta.
+    the table's largest size, delta, as ``(root_of, pred)``.
+
+    root_of maps every A-vertex in the forest to its tree root, and a root
+    to itself; pred maps each non-root A-vertex y to its tree edge (x, a):
+    the D-vertex x it was attached through and x's center a, the tree
+    parent of y.  The forest's D side is the union of its A-vertices'
+    stars.
 
     Roots are taken ascending in one pass over the star table; each tree is
     grown to maximality in the part of the graph not claimed by earlier
@@ -124,15 +88,12 @@ def build_forest(
     tree.  Where a few D-vertices reach every A-vertex (K_{k,L}: one), a
     rebuild reads their adjacency lists instead of every edge.
     """
-    adj = gs.adj
     n_a = len(stars)
     root_of: dict[int, int] = {}
     pred: dict[int, tuple[int, int]] = {}
-    roots: list[int] = []
     for u, ds in stars.items():
         if len(ds) != delta or u in root_of:
             continue
-        roots.append(u)
         root_of[u] = u
         queue = deque((u,))
         while queue and len(root_of) < n_a:
@@ -145,7 +106,7 @@ def build_forest(
                         queue.append(y)
                 if len(root_of) == n_a:
                     break
-    return AlternatingForest(tuple(roots), root_of, pred)
+    return root_of, pred
 
 
 @dataclass(frozen=True)
@@ -154,17 +115,11 @@ class SwitchingPath:
 
     vertices: tuple[int, ...]
 
-    @property
-    def origin(self) -> int:
-        return self.vertices[0]
-
-    @property
-    def terminus(self) -> int:
-        return self.vertices[-1]
-
 
 def find_switching_path(
-    f: AlternatingForest, stars: dict[int, list[int]]
+    root_of: dict[int, int],
+    pred: dict[int, tuple[int, int]],
+    stars: dict[int, list[int]],
 ) -> SwitchingPath | None:
     """Lightest center in the forest, if lighter than its root by at least 2.
 
@@ -173,14 +128,14 @@ def find_switching_path(
     the lowest vertex id.  The path is read back from the light center
     along the forest's tree edges.
     """
-    v = min(f.root_of, key=lambda a: (len(stars[a]), a))
-    u = f.root_of[v]
+    v = min(root_of, key=lambda a: (len(stars[a]), a))
+    u = root_of[v]
     if len(stars[v]) > len(stars[u]) - 2:
         return None
     seq = [v]
     cur = v
     while cur != u:
-        x, cur = f.pred[cur]
+        x, cur = pred[cur]
         seq += (x, cur)
     seq.reverse()
     return SwitchingPath(tuple(seq))
@@ -202,7 +157,7 @@ def transform(stars: dict[int, list[int]], path: SwitchingPath) -> None:
 
 
 def optimize(
-    gs: GStar,
+    adj,
     stars: dict[int, list[int]],
     trace: Callable[[SwitchingPath, int], None] | None = None,
 ) -> int:
@@ -212,19 +167,20 @@ def optimize(
     The final maximum star size is the matching D-cover number of the
     derived graph.  The table is scanned for its maximum once per
     transform, and each forest is rooted at that maximum.  The count is
-    bounded by the derived graph's vertex count; exceeding it means a
-    solver bug and aborts hard.  The maximum star size never increases
-    along the way.
+    bounded by the derived graph's vertex count |A| + |D*|, read once off
+    the table; exceeding it means a solver bug and aborts hard.  The
+    maximum star size never increases along the way.
     """
+    bound = len(stars) + sum(map(len, stars.values()))
     count = 0
     delta = max_load(stars)
     while delta > 1:
-        path = find_switching_path(build_forest(gs, stars, delta), stars)
+        path = find_switching_path(*build_forest(adj, stars, delta), stars)
         if path is None:
             break
         transform(stars, path)
         count += 1
-        if count > gs.size:
+        if count > bound:
             raise InternalInvariantError(
                 "switching-path transform count exceeded the derived graph order"
             )

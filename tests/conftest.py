@@ -1,5 +1,7 @@
 """Shared graph builders, matching checks and engine faults for the test suite."""
 
+import bisect
+
 from matchcover import Graph, blossom, cover, dstar, gallai_edmonds, random_connected_graph
 
 
@@ -69,12 +71,12 @@ def unmatch_one_pair(patch, index=0):
     patch.setattr(gallai_edmonds, "_maximize", short)
 
 
-def star_table(gs, center):
-    """The star table of an assignment center (D-vertex -> A-vertex) on the
-    derived graph gs: every A-vertex, ascending, to its D-vertices,
+def star_table(a_side, center):
+    """The star table of an assignment center (D-vertex -> A-vertex) over
+    the A-vertices a_side: every A-vertex, ascending, to its D-vertices,
     ascending; an idle center to []."""
-    stars = {a: [] for a in gs.a_vertices}
-    for d in gs.d_vertices:
+    stars = {a: [] for a in sorted(a_side)}
+    for d in sorted(center):
         stars[center[d]].append(d)
     return stars
 
@@ -84,7 +86,7 @@ def misroute_first_switch(patch, g):
     A-vertex it is not adjacent to in g, and end balancing there."""
     done = []
 
-    def misrouted(f, stars):
+    def misrouted(root_of, pred, stars):
         if done:
             return None
         done.append(True)
@@ -105,19 +107,41 @@ def share_a_dstar_vertex(patch):
     adjacent center's star, so that level 2 pairs it with both centers."""
     optimize = cover.optimize
 
-    def doubled(gs, stars, trace=None):
-        count = optimize(gs, stars, trace)
+    def doubled(adj, stars, trace=None):
+        count = optimize(adj, stars, trace)
         d, b = next(
             (ds[1], b)
             for a, ds in stars.items()
             if len(ds) > 1
-            for b in gs.adj[ds[1]]
+            for b in adj[ds[1]]
             if b != a and stars[b]
         )
         stars[b].insert(1, d)
         return count
 
     patch.setattr(cover, "optimize", doubled)
+
+
+def stall_transform(patch):
+    """Make every switching path move nothing, so that balancing finds the
+    same path again and again; return the list of paths handed to the
+    transform."""
+    paths = []
+    patch.setattr(dstar, "transform", lambda stars, path: paths.append(path))
+    return paths
+
+
+def pile_on_first_center(patch):
+    """Make each switching path move a D*-vertex from another nonempty star
+    onto the path's first center, a maximum one, so that the maximum star
+    size goes up."""
+
+    def heavier(stars, path):
+        first = path.vertices[0]
+        donor = next(a for a, ds in stars.items() if a != first and ds)
+        bisect.insort(stars[first], stars[donor].pop())
+
+    patch.setattr(dstar, "transform", heavier)
 
 
 def balancing_faults():

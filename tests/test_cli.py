@@ -14,12 +14,21 @@ from matchcover.cli import (
     main,
 )
 
-from conftest import balancing_faults, unmatch_one_pair
+from conftest import (
+    balancing_faults,
+    pile_on_first_center,
+    stall_transform,
+    unmatch_one_pair,
+)
 
 P4 = "p 4 3\ne 1 2\ne 2 3\ne 3 4\n"
 C3 = "p 3 3\ne 1 2\ne 2 3\ne 1 3\n"
 K13 = "p 4 3\ne 1 2\ne 1 3\ne 1 4\n"
 P3 = "p 3 2\ne 1 2\ne 2 3\n"
+# centers 1 and 2 keep their partners 4 and 6; exposed vertex 3 reaches
+# both, ties to center 1, and 5 reaches only center 1, so the seed cover
+# holds 3, 4, 5 on center 1 and one rebalancing transform moves 3 to center 2
+WALK = "p 6 5\ne 1 3\ne 2 3\ne 1 4\ne 1 5\ne 2 6\n"
 
 
 def write(tmp_path, name, text):
@@ -98,6 +107,28 @@ def test_solve_balancing_fault_exit_4(g, inject, tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_solve_balancing_invariant_exit_4(tmp_path, capsys, monkeypatch):
+    """Balancing's own checks end as exit 4: a transform that moves nothing
+    trips the transform bound after |A| + |D*| + 1 = 2 + 4 + 1 paths, and a
+    move that piles load onto the maximum center trips the maximum check."""
+    path = write(tmp_path, "walk.g", WALK)
+    with monkeypatch.context() as patch:
+        paths = stall_transform(patch)
+        code = main(["solve", path])
+    err = capsys.readouterr().err
+    assert code == EXIT_INTERNAL
+    assert err == (
+        "internal error: switching-path transform count exceeded"
+        " the derived graph order\n"
+    )
+    assert len(paths) == 7
+    with monkeypatch.context() as patch:
+        pile_on_first_center(patch)
+        code = main(["solve", path])
+    assert code == EXIT_INTERNAL
+    assert capsys.readouterr().err == "internal error: maximum star size increased\n"
+
+
 def test_solve_json(tmp_path, capsys):
     code = main(["solve", "--json", write(tmp_path, "p3.g", P3)])
     out = capsys.readouterr().out
@@ -118,15 +149,13 @@ def test_solve_verify_flag(tmp_path, capsys):
 
 
 def test_solve_trace_flag(tmp_path, capsys):
-    # centers 1 and 2 keep their partners 4 and 6; exposed vertex 3 reaches
-    # both, ties to center 1, and 5 reaches only center 1, so the seed
-    # cover holds 3, 4, 5 on center 1 and one rebalancing transform moves 3
-    # to center 2
-    text = "p 6 5\ne 1 3\ne 2 3\ne 1 4\ne 1 5\ne 2 6\n"
-    code = main(["solve", "--trace", write(tmp_path, "t.g", text)])
+    """One transform line, in the exact trace format: the path runs from
+    center 1 through vertex 3 to center 2, and leaves a maximum of 2."""
+    code = main(["solve", "--trace", write(tmp_path, "t.g", WALK)])
     out = capsys.readouterr().out
     assert code == EXIT_OK
-    assert any(line.startswith("transform:") for line in out.splitlines())
+    transforms = [line for line in out.splitlines() if line.startswith("transform:")]
+    assert transforms == ["transform: origin=1 terminus=2 length=2 delta=2"]
     assert "mc = 2" in out
 
 

@@ -52,6 +52,7 @@ def test_star_three_leaves():
     res = solve(g)
     assert res.cover.k == 3
     assert res.branch == "gstar"
+    assert res.gstar_size == 4  # |A| + |D*| = 1 + 3
     edge_sets = [set(m.pairs) for m in res.cover.matchings]
     assert edge_sets == [{(0, 1)}, {(0, 2)}, {(0, 3)}]
 
@@ -62,6 +63,7 @@ def test_p3():
     assert res.cover.k == 2
     assert [set(m.pairs) for m in res.cover.matchings] == [{(0, 1)}, {(1, 2)}]
     assert res.md == 2
+    assert res.gstar_size == 3  # A = {1}, D* = {0, 2}
 
 
 def test_verify_cover_examples():

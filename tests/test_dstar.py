@@ -3,13 +3,16 @@ from collections import deque
 
 import pytest
 
-from matchcover import Graph, brute_md, random_connected_graph, solve
+from matchcover import (
+    Graph,
+    InternalInvariantError,
+    brute_md,
+    random_connected_graph,
+    solve,
+)
 from matchcover.dstar import (
-    AlternatingForest,
-    GStar,
     SwitchingPath,
     build_forest,
-    build_gstar,
     find_switching_path,
     initial_cover,
     max_load,
@@ -19,93 +22,52 @@ from matchcover.dstar import (
 from matchcover.gallai_edmonds import decompose
 from matchcover.oracle import OracleBudget
 
-from conftest import complete_bipartite_graph, path_graph, star_graph, star_table
+from conftest import (
+    complete_bipartite_graph,
+    pile_on_first_center,
+    stall_transform,
+    star_table,
+)
 
 BUDGET = OracleBudget(max_vertices=12, max_edges=66)
 
 
-def gstar_edges(gs):
-    """The derived graph's edges as sorted (u, v) pairs, u < v."""
-    return sorted((min(a, d), max(a, d)) for d, nb in gs.adj.items() for a in nb)
-
-
-def test_build_gstar_p3():
-    g = path_graph(3)
-    ge = decompose(g)
-    gs = build_gstar(g, ge)
-    assert gs.a_vertices == (1,)
-    assert gs.d_vertices == (0, 2)
-    assert gstar_edges(gs) == [(0, 1), (1, 2)]
-
-
-def test_build_gstar_star():
-    g = star_graph(3)
-    ge = decompose(g)
-    gs = build_gstar(g, ge)
-    assert gs.a_vertices == (0,)
-    assert gs.d_vertices == (1, 2, 3)
-    assert gs.size == 4
-
-
-def test_build_gstar_edges_are_host_a_dstar_edges():
-    """Read from D*'s adjacency lists, the derived graph has exactly the
-    host edges between A and D*."""
-    checked = 0
-    for seed in range(80):
-        g = random_connected_graph(11, p=0.25, seed=seed)
-        ge = decompose(g)
-        if not ge.a:
-            continue
-        gs = build_gstar(g, ge)
-        assert set(gstar_edges(gs)) == {
-            (u, v)
-            for u, v in g.edges
-            if {u, v} & ge.a and {u, v} & ge.d_star
-        }
-        assert gs.d_vertices == tuple(sorted(ge.d_star))
-        checked += 1
-    assert checked >= 20
-
-
-def test_build_gstar_rejects_empty_a():
-    g = path_graph(4)
-    ge = decompose(g)
-    with pytest.raises(ValueError, match="empty A"):
-        build_gstar(g, ge)
+# Hand-built derived graphs below are an A list and a dict mapping each
+# D*-vertex to its A-neighbours, ascending: the host adjacency lists at D*.
 
 
 def test_initial_cover_p3():
-    gs = GStar([1], {0: [1], 2: [1]})
-    stars = initial_cover(gs, [1, 0, -1])
+    adj = {0: [1], 2: [1]}
+    stars = initial_cover(adj, [1], adj, [1, 0, -1])
     assert stars == {1: [0, 2]}
     assert max_load(stars) == 2
 
 
 def test_initial_cover_star_forced():
-    gs = GStar([0], {1: [0], 2: [0], 3: [0]})
-    stars = initial_cover(gs, [1, 0, -1, -1])
+    adj = {1: [0], 2: [0], 3: [0]}
+    stars = initial_cover(adj, [0], adj, [1, 0, -1, -1])
     assert stars == {0: [1, 2, 3]}
     assert max_load(stars) == 3
 
 
 def test_initial_cover_two_disjoint_edges():
-    gs = GStar([0, 1], {2: [0], 3: [1]})
-    stars = initial_cover(gs, [2, 3, 0, 1])
+    adj = {2: [0], 3: [1]}
+    stars = initial_cover(adj, [0, 1], adj, [2, 3, 0, 1])
     assert max_load(stars) == 1
     assert stars == {0: [2], 1: [3]}
 
 
-def lowest_id_table(gs):
+def lowest_id_table(adj, a_side, d_star):
     """Every D-vertex on its lowest-id A-neighbour: a far-from-balanced
     start, so the balancing loop passes through many covers."""
-    return star_table(gs, {d: nb[0] for d, nb in gs.adj.items()})
+    return star_table(a_side, {d: adj[d][0] for d in d_star})
 
 
 def test_initial_cover_tie_goes_to_lowest_id():
     """Exposed 3 sees equal loads on 0 and 1 and takes 0; exposed 4 then
     sees 0 loaded and takes 1; exposed 5 ties again and takes 0."""
-    gs = GStar([0, 1], {3: [0, 1], 4: [0, 1], 5: [0, 1]})
-    assert initial_cover(gs, [-1] * 6) == {0: [3, 5], 1: [4]}
+    adj = {3: [0, 1], 4: [0, 1], 5: [0, 1]}
+    assert initial_cover(adj, [0, 1], adj, [-1] * 6) == {0: [3, 5], 1: [4]}
 
 
 def test_initial_cover_counts_partners_before_exposed():
@@ -113,24 +75,24 @@ def test_initial_cover_counts_partners_before_exposed():
     although it has the highest id, so exposed 2 avoids center 0; a table
     that counted only the vertices before 2 in id order would put it there.
     Exposed 3 then ties and takes center 0."""
-    gs = GStar([0, 1], {2: [0, 1], 3: [0, 1], 5: [0]})
+    adj = {2: [0, 1], 3: [0, 1], 5: [0]}
     mate = [5, -1, -1, -1, -1, 0]
-    assert initial_cover(gs, mate) == {0: [3, 5], 1: [2]}
+    assert initial_cover(adj, [0, 1], adj, mate) == {0: [3, 5], 1: [2]}
 
 
 def test_initial_cover_least_loaded_neighbour():
     """Exposed 6 goes to center 2, the only neighbour with an empty star,
     past the lower ids 0 and 1 that hold partners."""
-    gs = GStar([0, 1, 2], {3: [0], 4: [1], 5: [0, 1], 6: [0, 1, 2]})
+    adj = {3: [0], 4: [1], 5: [0, 1], 6: [0, 1, 2]}
     mate = [3, 4, -1, 0, 1, -1, -1]
-    assert initial_cover(gs, mate) == {0: [3, 5], 1: [4], 2: [6]}
+    assert initial_cover(adj, [0, 1, 2], adj, mate) == {0: [3, 5], 1: [4], 2: [6]}
 
 
 def test_initial_cover_stars_ascending():
     """An exposed vertex below a partner lands before it in the star."""
-    gs = GStar([0, 1], {2: [0], 3: [1], 4: [0, 1], 5: [1]})
+    adj = {2: [0], 3: [1], 4: [0, 1], 5: [1]}
     mate = [5, 2, 1, -1, -1, 0]
-    stars = initial_cover(gs, mate)
+    stars = initial_cover(adj, [0, 1], adj, mate)
     assert stars == {0: [4, 5], 1: [2, 3]}
     assert all(ds == sorted(ds) for ds in stars.values())
 
@@ -138,60 +100,64 @@ def test_initial_cover_stars_ascending():
 def test_effective_degree():
     """A center's effective degree is its star's length; the idle A-vertex
     3 holds an empty star, and no D-vertex keys the table."""
-    gs = GStar([1, 3], {0: [1], 2: [1, 3]})
-    stars = star_table(gs, {0: 1, 2: 1})
+    stars = star_table([1, 3], {0: 1, 2: 1})
     assert stars == {1: [0, 2], 3: []}
     assert len(stars[1]) == 2
     assert len(stars[3]) == 0
 
 
 def test_single_edge_star_degree():
-    gs = GStar([0], {1: [0]})
-    stars = star_table(gs, {1: 0})
+    stars = star_table([0], {1: 0})
     assert len(stars[0]) == 1
 
 
 # A small instance used repeatedly below: center u=0 carries d-vertices
 # 2,3,4 while A-vertex 1 sits idle, adjacent only to 4.
 def _lopsided():
-    gs = GStar([0, 1], {2: [0], 3: [0], 4: [0, 1]})
-    stars = star_table(gs, {2: 0, 3: 0, 4: 0})
-    return gs, stars
+    adj = {2: [0], 3: [0], 4: [0, 1]}
+    stars = star_table([0, 1], {2: 0, 3: 0, 4: 0})
+    return adj, stars
 
 
-def _forest(gs, stars):
-    """The forest rooted at the table's largest stars."""
-    return build_forest(gs, stars, max_load(stars))
+def _forest(adj, stars):
+    """The forest rooted at the table's largest stars, as (root_of, pred)."""
+    return build_forest(adj, stars, max_load(stars))
 
 
-def _forest_d_side(f, stars):
+def _roots(root_of):
+    """The forest's roots, ascending: the fixed points of root_of."""
+    return sorted(a for a, r in root_of.items() if a == r)
+
+
+def _forest_d_side(root_of, stars):
     """The forest's D-vertices: the stars of its A-vertices."""
-    return {d for a in f.root_of for d in stars[a]}
+    return {d for a in root_of for d in stars[a]}
 
 
 def test_build_forest_pulls_in_idle_center():
-    gs, stars = _lopsided()
-    f = _forest(gs, stars)
-    assert f.roots == (0,)
-    assert set(f.root_of) == {0, 1}
-    assert _forest_d_side(f, stars) == {2, 3, 4}
-    assert f.pred[1] == (4, 0)
+    adj, stars = _lopsided()
+    root_of, pred = _forest(adj, stars)
+    assert _roots(root_of) == [0]
+    assert set(root_of) == {0, 1}
+    assert _forest_d_side(root_of, stars) == {2, 3, 4}
+    assert pred[1] == (4, 0)
 
 
 def test_build_forest_no_growth_on_full_star():
-    gs = GStar([0], {1: [0], 2: [0], 3: [0]})
-    stars = star_table(gs, {1: 0, 2: 0, 3: 0})
-    f = _forest(gs, stars)
-    assert f.roots == (0,)
-    assert set(f.root_of) == {0}
+    adj = {1: [0], 2: [0], 3: [0]}
+    stars = star_table([0], {1: 0, 2: 0, 3: 0})
+    root_of, pred = _forest(adj, stars)
+    assert _roots(root_of) == [0]
+    assert set(root_of) == {0}
+    assert pred == {}
 
 
 def test_build_forest_two_components_two_trees():
-    gs = GStar([0, 1], {2: [0], 3: [0], 4: [1], 5: [1]})
-    stars = star_table(gs, {2: 0, 3: 0, 4: 1, 5: 1})
-    f = _forest(gs, stars)
-    assert f.roots == (0, 1)
-    assert f.root_of[0] == 0 and f.root_of[1] == 1
+    adj = {2: [0], 3: [0], 4: [1], 5: [1]}
+    stars = star_table([0, 1], {2: 0, 3: 0, 4: 1, 5: 1})
+    root_of, _ = _forest(adj, stars)
+    assert _roots(root_of) == [0, 1]
+    assert root_of[0] == 0 and root_of[1] == 1
 
 
 def test_forest_closure():
@@ -202,59 +168,57 @@ def test_forest_closure():
         ge = decompose(g)
         if not ge.a or not ge.d_star:
             continue
-        gs = build_gstar(g, ge)
-        stars = lowest_id_table(gs)
+        stars = lowest_id_table(g.adjacency, ge.a, ge.d_star)
         if max_load(stars) < 2:
             continue
-        f = _forest(gs, stars)
-        for d in _forest_d_side(f, stars):
-            for a in gs.adj[d]:
-                assert a in f.root_of
+        root_of, _ = _forest(g.adjacency, stars)
+        for d in _forest_d_side(root_of, stars):
+            for a in g.adjacency[d]:
+                assert a in root_of
 
 
-def _full_forest(gs, stars):
-    """Reference forest: every tree grown until its queue of D-vertices is
-    empty, from each A-vertex of maximum star size in ascending order; each
-    tree edge names the D-vertex and its center."""
+def _full_forest(adj, stars):
+    """Reference forest as (root_of, pred): every tree grown until its queue
+    of D-vertices is empty, from each A-vertex of maximum star size in
+    ascending order; each tree edge names the D-vertex and its center."""
     delta = max(len(ds) for ds in stars.values())
     center = {d: a for a, ds in stars.items() for d in ds}
-    root_of, pred, roots = {}, {}, []
-    for u in [a for a in gs.a_vertices if len(stars[a]) == delta]:
+    root_of, pred = {}, {}
+    for u in [a for a in stars if len(stars[a]) == delta]:
         if u in root_of:
             continue
-        roots.append(u)
         root_of[u] = u
         queue = deque(stars[u])
         while queue:
             x = queue.popleft()
-            for y in gs.adj[x]:
+            for y in adj[x]:
                 if y in root_of:
                     continue
                 root_of[y] = u
                 pred[y] = (x, center[x])
                 queue.extend(stars[y])
-    return AlternatingForest(tuple(roots), root_of, pred)
+    return root_of, pred
 
 
-def _check_forest_and_path(gs, stars):
+def _check_forest_and_path(adj, stars):
     """The forest equals full growth, each pred entry is a tree edge, and
     the switching path read from it alternates; return both."""
-    f = _forest(gs, stars)
-    assert f == _full_forest(gs, stars)
-    for y, (x, a) in f.pred.items():
+    root_of, pred = _forest(adj, stars)
+    assert (root_of, pred) == _full_forest(adj, stars)
+    for y, (x, a) in pred.items():
         assert x in stars[a]
-        assert y in gs.adj[x]
-        assert f.root_of[a] == f.root_of[y]
-    path = find_switching_path(f, stars)
+        assert y in adj[x]
+        assert root_of[a] == root_of[y]
+    path = find_switching_path(root_of, pred, stars)
     if path is not None:
         verts = path.vertices
-        assert path.origin in f.roots
+        assert root_of[verts[0]] == verts[0]
         # each D-vertex is in the star of the center before it, and
         # adjacent to the center after it
         for a, d, a_next in zip(verts[0::2], verts[1::2], verts[2::2]):
             assert d in stars[a]
-            assert a_next in gs.adj[d]
-    return f, path
+            assert a_next in adj[d]
+    return root_of, path
 
 
 @pytest.mark.parametrize(
@@ -275,11 +239,10 @@ def _check_forest_and_path(gs, stars):
 )
 def test_build_forest_stop_keeps_forest(a_side, adj, root_of):
     """Each D-vertex on its first A-neighbour; same forest as full growth."""
-    gs = GStar(a_side, adj)
-    stars = star_table(gs, {d: nb[0] for d, nb in adj.items()})
-    f = _forest(gs, stars)
-    assert f == _full_forest(gs, stars)
-    assert f.root_of == root_of
+    stars = star_table(a_side, {d: nb[0] for d, nb in adj.items()})
+    forest = _forest(adj, stars)
+    assert forest == _full_forest(adj, stars)
+    assert forest[0] == root_of
 
 
 def test_build_forest_stop_keeps_forest_random():
@@ -295,11 +258,10 @@ def test_build_forest_stop_keeps_forest_random():
             n_a + i: rng.sample(a_side, rng.randint(1, n_a))
             for i in range(rng.randint(1, 14))
         }
-        gs = GStar(a_side, adj)
-        stars = star_table(gs, {d: rng.choice(nb) for d, nb in adj.items()})
-        f, path = _check_forest_and_path(gs, stars)
+        stars = star_table(a_side, {d: rng.choice(nb) for d, nb in adj.items()})
+        root_of, path = _check_forest_and_path(adj, stars)
         paths += path is not None
-        all_claimed += len(f.root_of) == n_a
+        all_claimed += len(root_of) == n_a
     assert all_claimed >= 100
     assert paths >= 100
     checked = 0
@@ -308,14 +270,13 @@ def test_build_forest_stop_keeps_forest_random():
         ge = decompose(g)
         if not ge.a:
             continue
-        gs = build_gstar(g, ge)
-        stars = lowest_id_table(gs)
+        stars = lowest_id_table(g.adjacency, ge.a, ge.d_star)
 
         def same_as_full(*_):
-            _check_forest_and_path(gs, stars)
+            _check_forest_and_path(g.adjacency, stars)
 
         same_as_full()
-        checked += optimize(gs, stars, trace=same_as_full) + 1
+        checked += optimize(g.adjacency, stars, trace=same_as_full) + 1
     assert checked >= 150
 
 
@@ -332,36 +293,35 @@ class _CountingAdj(dict):
 def test_build_forest_stops_once_every_a_vertex_is_claimed():
     """On K_{3,12} with every D-vertex on center 0, the first D-vertex
     reaches both other centers and no further adjacency list is read."""
-    gs = GStar([0, 1, 2], {d: [0, 1, 2] for d in range(3, 15)})
-    stars = star_table(gs, {d: 0 for d in range(3, 15)})
-    gs.adj = _CountingAdj(gs.adj)
-    f = build_forest(gs, stars, 12)
-    assert gs.adj.reads == 1
-    assert f == _full_forest(gs, stars)
-    assert f.pred == {1: (3, 0), 2: (3, 0)}
+    adj = _CountingAdj({d: [0, 1, 2] for d in range(3, 15)})
+    stars = star_table([0, 1, 2], {d: 0 for d in range(3, 15)})
+    forest = build_forest(adj, stars, 12)
+    assert adj.reads == 1
+    assert forest == _full_forest(adj, stars)
+    assert forest[1] == {1: (3, 0), 2: (3, 0)}
 
 
 def test_find_switching_path_lopsided():
-    gs, stars = _lopsided()
-    path = find_switching_path(_forest(gs, stars), stars)
+    adj, stars = _lopsided()
+    path = find_switching_path(*_forest(adj, stars), stars)
     assert path is not None
     assert path.vertices == (0, 4, 1)
 
 
 def test_find_switching_path_none_on_full_star():
-    gs = GStar([0], {1: [0], 2: [0], 3: [0]})
-    stars = star_table(gs, {1: 0, 2: 0, 3: 0})
-    assert find_switching_path(_forest(gs, stars), stars) is None
+    adj = {1: [0], 2: [0], 3: [0]}
+    stars = star_table([0], {1: 0, 2: 0, 3: 0})
+    assert find_switching_path(*_forest(adj, stars), stars) is None
 
 
 def test_find_switching_path_none_when_degrees_close():
-    gs = GStar([0, 1], {2: [0], 3: [0, 1], 4: [1]})
-    stars = star_table(gs, {2: 0, 3: 0, 4: 1})
-    assert find_switching_path(_forest(gs, stars), stars) is None
+    adj = {2: [0], 3: [0, 1], 4: [1]}
+    stars = star_table([0, 1], {2: 0, 3: 0, 4: 1})
+    assert find_switching_path(*_forest(adj, stars), stars) is None
 
 
 def test_transform_lopsided():
-    gs, stars = _lopsided()
+    _, stars = _lopsided()
     assert transform(stars, SwitchingPath((0, 4, 1))) is None
     assert stars == {0: [2, 3], 1: [4]}
     assert len(stars[0]) == 2
@@ -371,17 +331,8 @@ def test_transform_lopsided():
 def test_transform_degree_bookkeeping():
     """Four centers with star sizes (3, 3, 2, 1); the switching path from
     the first to the last moves one unit: sizes become (2, 3, 2, 2)."""
-    gs = GStar(
-        [0, 1, 2, 3],
-        {
-            4: [0], 5: [0], 6: [0, 1],
-            7: [1], 8: [1], 9: [1, 2],
-            10: [2], 11: [2, 3],
-            12: [3],
-        },
-    )
     stars = star_table(
-        gs,
+        [0, 1, 2, 3],
         {4: 0, 5: 0, 6: 0, 7: 1, 8: 1, 9: 1, 10: 2, 11: 2, 12: 3},
     )
     before = [len(stars[a]) for a in (0, 1, 2, 3)]
@@ -394,27 +345,49 @@ def test_transform_degree_bookkeeping():
 
 
 def test_optimize_lopsided_reaches_two():
-    gs, stars = _lopsided()
-    transforms = optimize(gs, stars)
+    adj, stars = _lopsided()
+    transforms = optimize(adj, stars)
     assert max_load(stars) == 2
-    assert max_load(stars) == brute_md(gs)
+    assert max_load(stars) == brute_md(adj, [0, 1], adj)
     assert transforms == 1
 
 
 def test_optimize_perfect_cover_unchanged():
-    gs = GStar([0, 1], {2: [0], 3: [1]})
-    stars = star_table(gs, {2: 0, 3: 1})
-    assert optimize(gs, stars) == 0
+    adj = {2: [0], 3: [1]}
+    stars = star_table([0, 1], {2: 0, 3: 1})
+    assert optimize(adj, stars) == 0
     assert stars == {0: [2], 1: [3]}
     assert max_load(stars) == 1
 
 
 def test_optimize_full_star_stuck_at_three():
-    gs = GStar([0], {1: [0], 2: [0], 3: [0]})
-    stars = star_table(gs, {1: 0, 2: 0, 3: 0})
-    optimize(gs, stars)
+    adj = {1: [0], 2: [0], 3: [0]}
+    stars = star_table([0], {1: 0, 2: 0, 3: 0})
+    optimize(adj, stars)
     assert max_load(stars) == 3
-    assert brute_md(gs) == 3
+    assert brute_md(adj, [0], adj) == 3
+
+
+def test_optimize_stalled_transform_exceeds_bound(monkeypatch):
+    """A transform that moves nothing leaves the same switching path to be
+    found again; the loop aborts on path |A| + |D*| + 1 = 2 + 3 + 1."""
+    adj, stars = _lopsided()
+    paths = stall_transform(monkeypatch)
+    with pytest.raises(InternalInvariantError, match="transform count exceeded"):
+        optimize(adj, stars)
+    assert len(paths) == 6
+    assert set(paths) == {SwitchingPath((0, 4, 1))}
+
+
+def test_optimize_raised_maximum_aborts(monkeypatch):
+    """A move that piles a D*-vertex onto the maximum center raises the
+    maximum star size from 3 to 4, and the loop aborts on that path."""
+    adj = {2: [0], 3: [0], 4: [0, 1], 5: [1]}
+    stars = star_table([0, 1], {2: 0, 3: 0, 4: 0, 5: 1})
+    pile_on_first_center(monkeypatch)
+    with pytest.raises(InternalInvariantError, match="maximum star size increased"):
+        optimize(adj, stars)
+    assert stars == {0: [2, 3, 4, 5], 1: []}
 
 
 def test_optimize_matches_brute_md_random():
@@ -424,32 +397,32 @@ def test_optimize_matches_brute_md_random():
         ge = decompose(g)
         if not ge.a or not ge.d_star:
             continue
-        gs = build_gstar(g, ge)
+        adj = g.adjacency
         deltas = []
 
         def check_table():
             # one star per A-vertex, keyed ascending, each star ascending,
             # and every D-vertex in exactly one star
-            assert list(stars) == list(gs.a_vertices)
+            assert list(stars) == sorted(ge.a)
             assert all(ds == sorted(ds) for ds in stars.values())
-            assert sum(map(len, stars.values())) == len(gs.d_vertices)
+            assert sum(map(len, stars.values())) == len(ge.d_star)
 
         def after_transform(path, delta):
             deltas.append(delta)
             check_table()
 
-        stars = initial_cover(gs, [-1] * g.n)
+        stars = initial_cover(adj, ge.a, ge.d_star, [-1] * g.n)
         check_table()
-        transforms = optimize(gs, stars, trace=after_transform)
-        assert max_load(stars) == brute_md(gs, BUDGET)
-        assert transforms <= gs.size
+        transforms = optimize(adj, stars, trace=after_transform)
+        assert max_load(stars) == brute_md(adj, ge.a, ge.d_star, BUDGET)
+        assert transforms <= len(ge.a) + len(ge.d_star)
         # the maximum star size never increases between transforms
         assert all(b <= a for a, b in zip(deltas, deltas[1:]))
         # the in-place updates keep every D-vertex in exactly one star,
         # that of an A-neighbour
         center = {d: a for a, ds in stars.items() for d in ds}
-        assert sorted(center) == list(gs.d_vertices)
-        assert all(a in gs.adj[d] for d, a in center.items())
+        assert sorted(center) == sorted(ge.d_star)
+        assert all(a in adj[d] for d, a in center.items())
         checked += 1
     assert checked >= 50
 
@@ -464,17 +437,17 @@ def test_optimize_from_matching_seed_matches_brute_md_random():
         ge = decompose(g)
         if not ge.a:
             continue
-        gs = build_gstar(g, ge)
-        stars = initial_cover(gs, ge.mate)
-        assert list(stars) == list(gs.a_vertices)
+        adj = g.adjacency
+        stars = initial_cover(adj, ge.a, ge.d_star, ge.mate)
+        assert list(stars) == sorted(ge.a)
         assert all(ds == sorted(ds) for ds in stars.values())
-        assert all(d in stars[ge.mate[d]] for d in gs.d_vertices if ge.mate[d] != -1)
-        count = optimize(gs, stars)
-        assert max_load(stars) == brute_md(gs, BUDGET)
-        assert count <= gs.size
+        assert all(d in stars[ge.mate[d]] for d in ge.d_star if ge.mate[d] != -1)
+        count = optimize(adj, stars)
+        assert max_load(stars) == brute_md(adj, ge.a, ge.d_star, BUDGET)
+        assert count <= len(ge.a) + len(ge.d_star)
         center = {d: a for a, ds in stars.items() for d in ds}
-        assert sorted(center) == list(gs.d_vertices)
-        assert all(a in gs.adj[d] for d, a in center.items())
+        assert sorted(center) == sorted(ge.d_star)
+        assert all(a in adj[d] for d, a in center.items())
         checked += 1
         transformed += count > 0
     assert checked >= 400
@@ -492,10 +465,9 @@ def test_initial_cover_balances_complete_bipartite(k, big, relabel):
         random.Random(k).shuffle(perm)
         g = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
     ge = decompose(g)
-    gs = build_gstar(g, ge)
-    stars = initial_cover(gs, ge.mate)
+    stars = initial_cover(g.adjacency, ge.a, ge.d_star, ge.mate)
     assert max_load(stars) == -(-big // k)
-    assert optimize(gs, stars) == 0
+    assert optimize(g.adjacency, stars) == 0
 
 
 def skewed_host(a):
@@ -515,10 +487,9 @@ def test_optimize_skewed_host_transforms_at_most_a():
     transforms at a = 250; seeded least-loaded it needs at most |A| (64)."""
     g = skewed_host(250)
     ge = decompose(g)
-    gs = build_gstar(g, ge)
-    assert len(gs.a_vertices) == 250 and len(gs.d_vertices) == 2500
-    stars = initial_cover(gs, ge.mate)
-    assert optimize(gs, stars) <= len(gs.a_vertices)
+    assert len(ge.a) == 250 and len(ge.d_star) == 2500
+    stars = initial_cover(g.adjacency, ge.a, ge.d_star, ge.mate)
+    assert optimize(g.adjacency, stars) <= len(ge.a)
     assert max_load(stars) == solve(g).md
 
 
@@ -534,12 +505,11 @@ def test_optimize_complete_bipartite_closed_form(k, big, transforms):
     transform (1881 from a lowest-id seed)."""
     g = complete_bipartite_graph(k, big)
     ge = decompose(g)
-    gs = build_gstar(g, ge)
-    stars = initial_cover(gs, ge.mate)
-    count = optimize(gs, stars)
+    stars = initial_cover(g.adjacency, ge.a, ge.d_star, ge.mate)
+    count = optimize(g.adjacency, stars)
     md = -(-big // k)
     assert max_load(stars) == md
-    assert count <= gs.size
+    assert count <= len(ge.a) + len(ge.d_star)
     if transforms is not None:
         assert count == transforms
     assert solve(g).cover.k == md

@@ -152,3 +152,20 @@ def test_random_decompositions_verify():
             assert all(v in ge.d for v in exposed)
             if ge.d:
                 assert len(exposed) == len(comps) - len(ge.a)
+
+
+def test_dstar_neighbours_lie_in_a():
+    """Every neighbour of a D*-vertex lies in A, so D*'s host adjacency
+    lists hold exactly the host edges between A and D*: balancing reads
+    them as the derived graph."""
+    checked = 0
+    for seed in range(80):
+        g = random_connected_graph(11, p=0.25, seed=seed)
+        ge = decompose(g)
+        if not ge.a:
+            continue
+        assert ge.d_star == {d for d in ge.d if not ge.d & set(g.adjacency[d])}
+        for d in ge.d_star:
+            assert set(g.adjacency[d]) <= ge.a
+        checked += 1
+    assert checked >= 20

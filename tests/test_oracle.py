@@ -1,7 +1,6 @@
 import pytest
 
 from matchcover import Graph, brute_d_set, brute_mc, brute_md, brute_nu
-from matchcover.dstar import GStar
 from matchcover.oracle import OracleBudget, OracleBudgetError
 
 from conftest import cycle_graph, path_graph, petersen_graph, star_graph
@@ -29,12 +28,13 @@ def test_brute_mc_errors():
 
 
 def test_brute_md():
-    empty_d = GStar([0, 1], {})
-    assert brute_md(empty_d) == 0
-    k13 = GStar([0], {1: [0], 2: [0], 3: [0]})
-    assert brute_md(k13) == 3
-    lopsided = GStar([0, 1], {2: [0], 3: [0], 4: [0, 1]})
-    assert brute_md(lopsided) == 2
+    # the derived graph as its A list and a dict of D*-vertices to their
+    # A-neighbours, which serves as D* too
+    assert brute_md({}, [0, 1], {}) == 0
+    k13 = {1: [0], 2: [0], 3: [0]}
+    assert brute_md(k13, [0], k13) == 3
+    lopsided = {2: [0], 3: [0], 4: [0, 1]}
+    assert brute_md(lopsided, [0, 1], lopsided) == 2
 
 
 def test_brute_d_set():
