@@ -142,15 +142,15 @@ class _Search:
         mate[v] = to
         mate[to] = v
 
-    def phase(self, roots, stop):
+    def phase(self, roots):
         """Grow one forest from all the exposed ``roots`` at once.
 
         Where two live trees meet on an outer-outer edge, augment along
         root1..v-w..root2; both trees stay dead for the rest of the phase.
         Return the number of augmentations, early once an augmentation
-        leaves at most ``stop`` live trees or fewer than two.  A phase that
-        augments nothing has grown the Hungarian forest (Edmonds 1965), and
-        its labels stay in place until :meth:`reset`.
+        leaves fewer than two live trees.  A phase that augments nothing
+        has grown the Hungarian forest (Edmonds 1965), and its labels stay
+        in place until :meth:`reset`.
         """
         mate, label, p, root = self.mate, self.label, self.p, self.root
         queue, touched, find = self.queue, self.touched, self.find
@@ -188,7 +188,7 @@ class _Search:
                         self._augment(v, to)
                         augmented += 1
                         live -= 2
-                        if live <= stop or live < 2:
+                        if live < 2:
                             queue.clear()
                             return augmented
                         break
@@ -210,7 +210,7 @@ class _Search:
         self.touched.clear()
 
 
-def _maximize(adj, mate, size=None):
+def _maximize(adj, mate):
     """Grow mate to maximum cardinality; covered vertices stay covered.
 
     ``mate`` is the engine's mate list (-1 for an exposed vertex), grown in
@@ -225,9 +225,7 @@ def _maximize(adj, mate, size=None):
     still-exposed vertex, ascending, with one search state for the whole
     pass.  The pass ends with the first phase that augments nothing, whose
     Hungarian forest the returned search holds, or with no vertex exposed,
-    when it holds an empty forest.  Given the maximum cardinality ``size``,
-    the pass instead stops as soon as the matching has that many edges; a
-    larger ``size`` only disables the stop.
+    when it holds an empty forest.
     """
     deg = list(map(len, adj))
     exposed = sorted((v for v, w in enumerate(mate) if w == -1), key=deg.__getitem__)
@@ -241,9 +239,8 @@ def _maximize(adj, mate, size=None):
                 mate[u] = best
                 mate[best] = u
     roots = sorted(v for v in exposed if mate[v] == -1)
-    stop = 0 if size is None else len(adj) - 2 * size
     search = _Search(adj, mate)
-    while len(roots) > stop and search.phase(roots, stop):
+    while roots and search.phase(roots):
         search.reset()
         roots = [v for v in roots if mate[v] == -1]
     return search

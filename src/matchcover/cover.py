@@ -6,7 +6,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
-from .blossom import Matching, _from_mate, _maximize, _unchecked_matching
+from .blossom import Matching, _from_mate, _unchecked_matching
 from .dstar import SwitchingPath, initial_cover, max_load, optimize
 from .errors import InternalInvariantError, NoCoverError
 from .gallai_edmonds import GallaiEdmonds, decompose
@@ -131,46 +131,42 @@ def assemble(g: Graph, ge: GallaiEdmonds, stars: dict[int, list[int]]) -> Matchi
 
     D is nonempty, so g has no perfect matching and k = max(2, md), md being
     the largest star size (0 without stars, as for a factor-critical g).
-    Level 1 is a maximum matching grown on g itself from a copy of
-    ``ge.mate`` with A's pairs unmatched and each nonempty star's first
-    edge added (an idle center has none); these are vertex-disjoint, since
-    a D*-vertex has only A-neighbours.  ``ge.mate`` is perfect on C:
-    ``decompose``'s Tutte-Berge check fails on an exposed C-vertex or one
-    matched into A.  Growth never uncovers a vertex, so level 1 keeps
-    covering C and every star's first edge.  Growth stops at |M| edges, M
-    being maximum (``decompose`` certifies it); a shorter level 1 is an
-    internal error.  Level 2 merges a rescue edge inside its D-component
-    for each vertex of D - D* that level 1 leaves exposed (every D*-vertex
-    is in a star, and a maximum matching covers A and C) with each star's
-    next edge; higher levels take one further edge per star.  Each level
-    is built from its own edges, unchecked; ``solve``'s final
+    Level 1 is ``ge.mate`` with each nonempty star's center matched to the
+    star's first D*-vertex instead of its M-partner.  That keeps |M| edges
+    with no blossom search: a star nonempty at seeding never empties (a
+    switching path empties only a star of load >= 2), so an idle center's
+    partner lies outside D*, and a first D*-vertex is exposed or matched
+    to a nonempty star's center; all those centers are unmatched before
+    any first edge is placed, as balancing moves partners between stars.
+    Another size is an internal error.  ``ge.mate`` is perfect on C (the
+    Tutte-Berge check of ``decompose``), so level 1 covers C.  Level 2
+    merges a rescue edge inside its D-component for each vertex of D - D*
+    left exposed with each star's next edge; higher levels take one more
+    edge per star.  The levels are built unchecked; ``solve``'s final
     :func:`verify_cover` checks them against g.
     """
     d_set, d_star = ge.d, ge.d_star
     mate1 = list(ge.mate)
     size = (g.n - mate1.count(-1)) // 2
-    for a in ge.a:
-        w = mate1[a]
-        if w != -1:
-            mate1[a] = mate1[w] = -1
-    for a, ds in stars.items():
-        if ds:
-            mate1[a], mate1[ds[0]] = ds[0], a
-    _maximize(g.adjacency, mate1, size)
+    firsts = [(a, ds[0]) for a, ds in stars.items() if ds]
+    for a, _ in firsts:
+        if mate1[a] != -1:
+            mate1[mate1[a]] = -1
+    for a, d in firsts:
+        mate1[a], mate1[d] = d, a
     m1 = _from_mate(mate1)
     if len(m1) != size:
         raise InternalInvariantError("level-1 matching is not maximum")
 
     rescue: list[tuple[int, int]] = []
-    for w, partner in enumerate(mate1):
-        if partner != -1 or w in d_star:
-            continue
-        x = next((x for x in g.adjacency[w] if x in d_set), None)
-        if x is None:
-            raise InternalInvariantError(
-                f"uncovered vertex {w} has no edge inside its D-component"
-            )
-        rescue.append((w, x))
+    for w in d_set:
+        if mate1[w] == -1 and w not in d_star:
+            x = next((x for x in g.adjacency[w] if x in d_set), None)
+            if x is None:
+                raise InternalInvariantError(
+                    f"uncovered vertex {w} has no edge inside its D-component"
+                )
+            rescue.append((w, x))
 
     k = max(2, max_load(stars))
     levels = [rescue] + [[] for _ in range(k - 2)]

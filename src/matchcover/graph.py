@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import operator
 import re
 from dataclasses import dataclass
@@ -109,24 +110,24 @@ def _parse_canonical(text: str) -> tuple[int, list] | None:
     header = _HEADER.match(text)
     if header is None or _NOT_EDGE.search(text):
         return None
-    tokens = text.split()
     try:
-        n = int(header[1])
-        m = int(header[2])
-        us = list(map(int, tokens[4::3]))
-        vs = list(map(int, tokens[5::3]))
-    except ValueError:  # a digit string beyond int's length limit
+        n, m = int(header[1]), int(header[2])
+        # every endpoint in one C-level pass, the edge text after the first
+        # "e " read as a JSON array: "1 2\ne 3 4" -> [1, 2, 3, 4]; json raises
+        # on a leading zero, which the line reader accepts, and, like int,
+        # on a digit string beyond int's length limit
+        flat = json.loads(
+            "[" + text[header.end() + 2 :].replace("\ne ", ",").replace(" ", ",") + "]"
+        )
+    except ValueError:
         return None
-    # each list is dropped once the next is built: from here on at most two
-    # lists of m objects are alive at a time
-    del tokens
-    if n < 1 or len(us) != m:
+    if n < 1 or len(flat) != 2 * m or (flat and not 1 <= min(flat) <= max(flat) <= n):
         return None
-    if us and (
-        min(min(us), min(vs)) < 1
-        or max(max(us), max(vs)) > n
-        or any(map(operator.eq, us, vs))
-    ):
+    # the text copies die as flat is built, and flat once it is split in
+    # halves: from here on at most two lists of m objects are alive at a time
+    us, vs = flat[0::2], flat[1::2]
+    del flat
+    if any(map(operator.eq, us, vs)):
         return None
     # sort each edge as the integer lo * n + hi of its 0-indexed ends
     # lo < hi: ints order like the pairs and compare faster, and divmod by

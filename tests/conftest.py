@@ -61,14 +61,30 @@ def unmatch_one_pair(patch, index=0):
     which still names A.  ``patch`` is a pytest monkeypatch."""
     maximize = blossom._maximize
 
-    def short(adj, mate, size=None):
-        search = maximize(adj, mate, size)
+    def short(adj, mate):
+        search = maximize(adj, mate)
         pairs = [(u, w) for u, w in enumerate(mate) if u < w]
         u, w = pairs[index % len(pairs)]
         mate[u] = mate[w] = -1
         return search
 
     patch.setattr(gallai_edmonds, "_maximize", short)
+
+
+def plant_mate(patch, pairs):
+    """Make ``decompose``'s blossom pass end with the mate list of ``pairs``
+    in place of the matching it grew, its last forest kept.  ``patch`` is a
+    pytest monkeypatch."""
+    maximize = blossom._maximize
+
+    def planted(adj, mate):
+        search = maximize(adj, mate)
+        mate[:] = [-1] * len(mate)
+        for u, v in pairs:
+            mate[u], mate[v] = v, u
+        return search
+
+    patch.setattr(gallai_edmonds, "_maximize", planted)
 
 
 def star_table(a_side, center):

@@ -21,14 +21,13 @@ from conftest import (
 BUDGET = OracleBudget(max_vertices=12, max_edges=66)
 
 
-def grow(g, pairs=(), size=None):
+def grow(g, pairs=()):
     """The matching that the blossom pass grows on g from the matching
-    ``pairs``, seeded into the engine's mate list; ``size`` as in
-    ``_maximize``."""
+    ``pairs``, seeded into the engine's mate list."""
     mate = [-1] * g.n
     for u, v in pairs:
         mate[u], mate[v] = v, u
-    blossom._maximize(g.adjacency, mate, size)
+    blossom._maximize(g.adjacency, mate)
     return blossom._from_mate(mate)
 
 
@@ -231,8 +230,8 @@ def counting_phases(monkeypatch):
     class Counting(blossom._Search):
         __slots__ = ()
 
-        def phase(self, roots, stop):
-            augmented = super().phase(roots, stop)
+        def phase(self, roots):
+            augmented = super().phase(roots)
             log.append((len(roots), augmented, len(self.touched)))
             return augmented
 
@@ -286,10 +285,11 @@ def test_degree_seed_matches_relabelled_path_without_search(monkeypatch):
         assert log == []
 
 
-def test_cardinality_stop_skips_failed_trees_in_assembly(monkeypatch):
-    """Odd n leaves an exposed vertex in every maximum matching.  Level 1
-    stops at |M| edges, so assembly runs no phase that is bound to augment
-    nothing; without the size the pass ends with such a phase."""
+def test_assembly_runs_no_blossom_phase(monkeypatch):
+    """Odd n leaves an exposed vertex in every maximum matching, so these
+    graphs take the derived-graph branch.  Level 1 is the first matching
+    with each star's first edge swapped in, so assembly runs no blossom
+    phase, and level 1 still has the matching number of edges."""
     log = counting_phases(monkeypatch)
     inside = []
     assemble = cover.assemble
@@ -306,20 +306,15 @@ def test_cardinality_stop_skips_failed_trees_in_assembly(monkeypatch):
         inside.clear()
         res = solve(g)
         assert res.branch == "gstar"
-        assert all(aug > 0 for _, aug, _ in log[inside[0]:inside[1]])
-        nu = len(maximum_matching(g))
-        for size, last_fails in ((nu, False), (None, True)):
-            log.clear()
-            grown = grow(g, (), size)
-            assert len(grown) == nu and (log[-1][1] == 0) == last_fails
+        assert inside[0] == inside[1] > 0
+        assert len(res.cover.matchings[0]) == len(maximum_matching(g))
 
 
-def test_cardinality_stop_ends_the_phase_that_reaches_it(monkeypatch):
+def test_seeded_pass_ends_with_a_hungarian_phase(monkeypatch):
     """P4 0-1-2-3 seeded with 1-2, beside stars K_{1,3} each seeded with one
-    edge.  The first phase augments along 0-1-2-3 before it grows anything
-    else; given the size it stops there, with each star's two exposed
-    leaves left as bare roots.  Without the size it grows the stars'
-    Hungarian trees, then grows them again in a last phase."""
+    edge.  The first phase augments along 0-1-2-3 and grows the stars'
+    Hungarian trees from their two exposed leaves each; the pass ends with
+    a last phase that augments nothing and grows those trees again."""
     stars = 5
     edges, seed = [(0, 1), (1, 2), (2, 3)], [(1, 2)]
     for c in range(4, 4 + 4 * stars, 4):
@@ -328,19 +323,6 @@ def test_cardinality_stop_ends_the_phase_that_reaches_it(monkeypatch):
     g = Graph.from_edges(4 + 4 * stars, edges)
     roots = 2 + 2 * stars
     log = counting_phases(monkeypatch)
-    grown = grow(g, seed, 2 + stars)
-    assert {(0, 1), (2, 3)} <= set(grown.pairs)
-    assert log == [(roots, 1, roots + 2)]
-    log.clear()
-    assert grow(g, seed) == grown
+    grown = grow(g, seed)
+    assert {(0, 1), (2, 3)} <= set(grown.pairs) and len(grown) == 2 + stars
     assert log == [(roots, 1, roots + 2 + 2 * stars), (2 * stars, 0, 4 * stars)]
-
-
-def test_covering_size_above_nu_grows_to_maximum():
-    """A size larger than the matching number only disables the stop."""
-    for g in (path_graph(5), cycle_graph(7), star_graph(4), petersen_graph()):
-        nu = brute_nu(g, BUDGET)
-        assert len(maximum_matching(g)) == nu
-        for size in (nu, nu + 1, g.n):
-            m = grow(g, (), size)
-            assert len(m) == nu

@@ -17,6 +17,7 @@ from matchcover.cli import (
 from conftest import (
     balancing_faults,
     pile_on_first_center,
+    plant_mate,
     stall_transform,
     unmatch_one_pair,
 )
@@ -67,11 +68,17 @@ def _lost_key(*args, **kwargs):
 
 
 def test_solve_engine_failure_exit_4(tmp_path, capsys, monkeypatch):
-    """A blossom pass that returns a non-maximum matching, or a broken
-    balancing step, is reported as an internal error, not as "no cover" and
-    not as a crash; an unexpected exception type is named."""
+    """A blossom pass that returns a non-maximum matching or a perfect mate
+    list pairing a non-edge, or a broken balancing step, is reported as an
+    internal error, not as "no cover" and not as a crash; an unexpected
+    exception type is named."""
     cases = [
         (unmatch_one_pair, C3, "internal error: "),
+        (
+            lambda patch: plant_mate(patch, [(0, 3), (1, 2)]),
+            P4,
+            "internal error: assembled cover is not a valid matching cover",
+        ),
         (
             lambda patch: patch.setattr(matchcover.cover, "optimize", _bad_switch),
             P3,

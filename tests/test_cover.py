@@ -274,17 +274,22 @@ def test_level_one_size_matches_networkx():
 
 
 def test_short_level_one_is_rejected(monkeypatch):
-    """Level 1 stops growing at |M| edges; one that comes back short is an
-    internal error.  Two triangles joined through vertex 6: A = {6} has no
-    star, so level 1's seed holds one edge of each triangle, below |M| = 3."""
-    g = Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
-                             (0, 6), (3, 6)])
+    """A level 1 of another size than |M| is an internal error.  On K_{2,5}
+    with A = {5, 6}, M = {0-5, 1-6} and stars 5: [0, 2, 4], 6: [1, 3]; a
+    star table that also lists D*-vertex 0 first in center 6's star makes
+    level 1 match both centers to 0, and the mate list reads as the one
+    pair 0-6, below |M| = 2."""
+    g = Graph.from_edges(7, [(d, a) for a in (5, 6) for d in range(5)])
     assert solve(g).branch == "gstar"
+    optimize = matchcover.cover.optimize
 
-    def seed_only(adj, mate, size=None):
-        """Leave level 1's seeded mate list as it is."""
+    def doubled(adj, stars, trace=None):
+        count = optimize(adj, stars, trace)
+        assert stars == {5: [0, 2, 4], 6: [1, 3]}
+        stars[6].insert(0, 0)
+        return count
 
-    monkeypatch.setattr(matchcover.cover, "_maximize", seed_only)
+    monkeypatch.setattr(matchcover.cover, "optimize", doubled)
     with pytest.raises(InternalInvariantError, match="level-1 matching is not maximum"):
         solve(g)
 

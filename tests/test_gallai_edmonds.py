@@ -4,15 +4,24 @@ from matchcover import (
     Graph,
     InternalInvariantError,
     brute_d_set,
+    brute_nu,
     components,
     induced_subgraph,
     random_connected_graph,
+    solve,
 )
-from matchcover import gallai_edmonds
 from matchcover.gallai_edmonds import GallaiEdmonds, decompose
 from matchcover.oracle import OracleBudget, is_factor_critical, verify_decomposition
 
-from conftest import complete_graph, cycle_graph, path_graph, unmatch_one_pair
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    petersen_graph,
+    plant_mate,
+    star_graph,
+    unmatch_one_pair,
+)
 
 BUDGET = OracleBudget(max_vertices=12, max_edges=66)
 
@@ -75,20 +84,49 @@ def test_matching_not_perfect_on_c_fails_tutte_berge(monkeypatch):
     g = Graph.from_edges(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
     ge = decompose(g)
     assert (ge.a, ge.c) == ({1}, {3, 4})
-    maximize = gallai_edmonds._maximize
     for pairs in ([(0, 1)], [(1, 3)]):
-
-        def planted(adj, mate, size=None):
-            search = maximize(adj, mate, size)
-            mate[:] = [-1] * len(mate)
-            for u, v in pairs:
-                mate[u], mate[v] = v, u
-            return search
-
         with monkeypatch.context() as patch:
-            patch.setattr(gallai_edmonds, "_maximize", planted)
+            plant_mate(patch, pairs)
             with pytest.raises(InternalInvariantError, match="Tutte-Berge"):
                 decompose(g)
+
+
+def test_perfect_matching_leaves_c_alone():
+    """A graph with a perfect matching (by the oracle's matching number),
+    connected or not, decomposes to D = A = D* = ∅ and C = V, and the
+    per-vertex reference check agrees."""
+    graphs = [
+        path_graph(4),
+        cycle_graph(6),
+        complete_graph(4),
+        petersen_graph(),
+        Graph.from_edges(4, [(0, 1), (2, 3)]),
+    ]
+    graphs += [
+        random_connected_graph(n, p=0.4, seed=s) for n in (6, 8, 10) for s in range(12)
+    ]
+    perfect = 0
+    for g in graphs:
+        if 2 * brute_nu(g, BUDGET) != g.n:
+            continue
+        ge = decompose(g)
+        assert (ge.d, ge.a, ge.c, ge.d_star) == (set(), set(), set(range(g.n)), set())
+        assert verify_decomposition(g, ge)
+        perfect += 1
+    assert perfect >= 20
+
+
+def test_planted_perfect_non_matching_fails_the_final_cover_check(monkeypatch):
+    """decompose reads nothing more off a perfect mate list, so a planted
+    one that pairs a non-edge becomes the perfect branch's whole cover,
+    which solve's final check rejects.  P4 has a perfect matching; K_{1,3}
+    has none."""
+    planted = [(path_graph(4), [(0, 3), (1, 2)]), (star_graph(3), [(0, 1), (2, 3)])]
+    for g, pairs in planted:
+        with monkeypatch.context() as patch:
+            plant_mate(patch, pairs)
+            with pytest.raises(InternalInvariantError, match="not a valid matching"):
+                solve(g)
 
 
 def test_verify_p3_true_and_swapped_false():

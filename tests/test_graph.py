@@ -291,6 +291,22 @@ def test_bulk_parse_agrees_with_line_reader():
         assert kind in joined
 
 
+def test_bulk_reader_passes_leading_zeros_and_long_digits_on():
+    """json reads no leading zero and, like int, no digit string beyond
+    int's length limit: the bulk reader returns None on both without
+    raising, and the line reader gives the graph or names the line."""
+    long_digits = "p 3 1\ne 1 " + "9" * 5000
+    for text in ("p 3 2\ne 01 2\ne 2 3", "p 3 2\ne 1 2\ne 2 003\n", long_digits):
+        assert _parse_canonical(text) is None
+        assert _outcome(parse_graph, text) == _outcome(_lines_graph, text)
+    assert parse_graph("p 3 2\ne 01 2\ne 2 3") == path_graph(3)
+
+
+def test_edgeless_header_is_read_in_bulk():
+    for text in ("p 3 0", "p 3 0\n"):
+        assert _parse_canonical(text) == (3, [])
+
+
 def test_graph_is_its_three_fields():
     """Parsed (canonical and CRLF), from_edges and directly built graphs
     hold n, edges and adjacency and nothing else, and are equal with equal
