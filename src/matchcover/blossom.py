@@ -1,11 +1,16 @@
 """Maximum matching in general graphs via blossom shrinking.
 
 Edmonds' contraction scheme, run in phases: each phase grows alternating
-trees from every exposed vertex at once, shrinks odd cycles onto their
-base, and augments where two trees meet.  Contracted blossoms are tracked
-with a union-find structure so a phase costs about O(m) rather than O(n)
-per contraction.  The first phase that augments nothing leaves a Hungarian
-forest, whose inner vertices are the Gallai-Edmonds set A that
+trees from every exposed vertex outside the kept trees at once, shrinks odd
+cycles onto their base, and augments where two trees meet.  Contracted
+blossoms are tracked with a union-find structure so a phase costs about
+O(m) rather than O(n) per contraction.  A tree that ends a phase live with
+no edge from its outer vertices to another tree is Hungarian, and no later
+phase can reach it (Edmonds 1965), so it is kept as it is rather than grown
+again.  The pass ends with a phase that augments nothing, or once every
+exposed vertex lies in a kept tree.  The kept trees and the forest of a
+last phase that augments nothing make up a Hungarian forest, whose inner
+vertices are the Gallai-Edmonds set A that
 :func:`~matchcover.gallai_edmonds.decompose` reads.  Adjacency lists are
 sorted and ties go to the lower id, so results are deterministic.
 """
@@ -53,15 +58,18 @@ def _from_mate(mate) -> Matching:
 class _Search:
     """Alternating-forest search state, allocated once per pass.
 
-    A phase records the vertices it labels, so :meth:`reset` costs only the
-    size of its forest.  Blossom bases are merged in a union-find whose
-    representative is forced to the blossom base, so base lookups stay near
-    O(1) amortized.  ``root`` names each labelled vertex's tree; a tree is
-    dead once its root is matched, which only an augmentation does.
+    A phase records the vertices it labels in ``touched``, so :meth:`reset`
+    costs only the size of its forest; the vertices of the trees that reset
+    keeps go on ``kept`` and stay labelled for the rest of the pass.
+    Blossom bases are merged in a union-find whose representative is forced
+    to the blossom base, so base lookups stay near O(1) amortized.  ``root``
+    names each labelled vertex's tree; a tree is dead once its root is
+    matched, which only an augmentation does.  ``tainted`` holds the roots
+    of the phase's trees that met another tree.
     """
 
     __slots__ = ("adj", "mate", "parent", "label", "p", "root", "queue",
-                 "touched", "mark", "stamp")
+                 "touched", "kept", "tainted", "mark", "stamp")
 
     def __init__(self, adj, mate):
         n = len(adj)
@@ -73,6 +81,8 @@ class _Search:
         self.root = [-1] * n
         self.queue = deque()
         self.touched = []
+        self.kept = []
+        self.tainted = set()
         self.mark = [0] * n
         self.stamp = 0
 
@@ -143,17 +153,21 @@ class _Search:
         mate[to] = v
 
     def phase(self, roots):
-        """Grow one forest from all the exposed ``roots`` at once.
+        """Grow one forest from the exposed ``roots`` at once.
 
         Where two live trees meet on an outer-outer edge, augment along
         root1..v-w..root2; both trees stay dead for the rest of the phase.
         Return the number of augmentations, early once an augmentation
-        leaves fewer than two live trees.  A phase that augments nothing
-        has grown the Hungarian forest (Edmonds 1965), and its labels stay
-        in place until :meth:`reset`.
+        leaves fewer than two live trees.  A tree is tainted when one of
+        its outer vertices scans a vertex that another tree labelled: an
+        inner vertex of any other tree, or an outer vertex of a dead one.
+        An early return taints every root.  A phase that augments nothing
+        has grown, with the kept trees, a Hungarian forest (Edmonds 1965),
+        and its labels stay in place until :meth:`reset`.
         """
         mate, label, p, root = self.mate, self.label, self.p, self.root
-        queue, touched, find = self.queue, self.touched, self.find
+        parent, find = self.parent, self.find
+        queue, touched, tainted = self.queue, self.touched, self.tainted
         for r in roots:
             label[r] = _OUTER
             root[r] = r
@@ -166,11 +180,18 @@ class _Search:
             rv = root[v]
             if mate[rv] != -1:
                 continue
+            bv = -1  # v's blossom base, looked up on first need
+            clean = rv not in tainted  # a tainted tree checks no more edges
             for to in self.adj[v]:
                 lt = label[to]
-                if lt == _UNLABELED:
-                    # every exposed vertex is a root, so to is matched, and
-                    # a matched pair is labelled or unlabelled as a whole
+                if lt == _INNER:
+                    if clean and root[to] != rv:  # an inner vertex of another tree
+                        tainted.add(rv)
+                        clean = False
+                elif lt == _UNLABELED:
+                    # every exposed vertex roots a tree of this phase or a
+                    # kept one, so to is matched, and a matched pair is
+                    # labelled or unlabelled as a whole
                     w = mate[to]
                     p[to] = v
                     label[to] = _INNER
@@ -179,53 +200,86 @@ class _Search:
                     touched.append(to)
                     touched.append(w)
                     queue.append(w)
-                elif lt == _OUTER:
+                else:  # to is outer
                     rt = root[to]
                     if rt == rv:
-                        if mate[v] != to and find(v) != find(to):
-                            self._contract(v, to)
+                        if mate[v] != to:
+                            bt = parent[to]
+                            if parent[bt] != bt:
+                                bt = find(to)
+                            if bv == -1:
+                                bv = find(v)
+                            if bv != bt:
+                                self._contract(v, to)
+                                bv = -1  # the contraction moved v's base
                     elif mate[rt] == -1:
                         self._augment(v, to)
                         augmented += 1
                         live -= 2
                         if live < 2:
                             queue.clear()
+                            tainted.update(roots)
                             return augmented
                         break
-                # inner vertices and dead trees are skipped
+                    elif clean:  # an outer vertex of a dead tree
+                        tainted.add(rv)
+                        clean = False
         return augmented
 
     def inner(self):
-        """The inner vertices of the last phase's forest."""
+        """The inner vertices of the kept trees and the last phase's forest."""
         label = self.label
-        return [v for v in self.touched if label[v] == _INNER]
+        return [v for v in self.kept + self.touched if label[v] == _INNER]
 
-    def reset(self):
-        """Return the vertices of the last phase to their unlabeled state."""
-        label, parent, p = self.label, self.parent, self.p
+    def reset(self, roots):
+        """Unlabel the last phase's vertices, except the trees to keep, and
+        return the roots of the next phase.
+
+        A tree is kept when its root is still exposed and the phase did not
+        taint it.  Then every neighbour of its outer vertices lies in the
+        tree, so no vertex another tree labels as outer is next to one of
+        them, and no augmentation passes through the tree: it stays
+        Hungarian, and its inner vertices stay in A, for the rest of the
+        pass.  Its labels, ``p`` and union-find entries stay in place, and
+        its vertices go on ``kept``.  The next roots are the still-exposed
+        roots of tainted trees.
+        """
+        mate, tainted = self.mate, self.tainted
+        kept_roots = {r for r in roots if mate[r] == -1 and r not in tainted}
+        label, parent, p, root, kept = self.label, self.parent, self.p, self.root, self.kept
         for v in self.touched:
-            label[v] = _UNLABELED
-            parent[v] = v
-            p[v] = -1
+            if kept_roots and root[v] in kept_roots:
+                kept.append(v)
+            else:
+                label[v] = _UNLABELED
+                parent[v] = v
+                p[v] = -1
         self.touched.clear()
+        tainted.clear()
+        return [r for r in roots if mate[r] == -1 and r not in kept_roots]
 
 
 def _maximize(adj, mate):
     """Grow mate to maximum cardinality; covered vertices stay covered.
 
     ``mate`` is the engine's mate list (-1 for an exposed vertex), grown in
-    place from any matching of the graph ``adj``: the seed only pairs two
-    exposed vertices, and an augmentation never uncovers a vertex.
+    place: the seed only pairs two exposed vertices, and an augmentation
+    never uncovers a vertex.  :func:`~matchcover.gallai_edmonds.decompose`
+    and :func:`maximum_matching` pass an all-exposed list; only tests seed
+    a partial matching of the graph ``adj``.
 
     A greedy seed pass visits the exposed vertices in ascending degree (ties
     to the lower id) and pairs each with its exposed neighbour of least
     degree (again ties to the lower id), the min-degree heuristic of Karp
     and Sipser (1981); only the exposed vertices are sorted.  Then phases,
     as in Hopcroft and Karp (1973), each grow a forest from every
-    still-exposed vertex, ascending, with one search state for the whole
-    pass.  The pass ends with the first phase that augments nothing, whose
-    Hungarian forest the returned search holds, or with no vertex exposed,
-    when it holds an empty forest.
+    still-exposed vertex outside the kept trees, ascending, with one search
+    state for the whole pass.  Each phase's roots are the last phase's
+    roots that are still exposed and whose trees :meth:`_Search.reset` did
+    not keep.  The pass ends with the first phase that augments nothing, or
+    as soon as every exposed vertex, if any, lies in a kept tree.  The
+    returned search then holds the Hungarian forest: the kept trees, and
+    the forest of a last phase that augmented nothing.
     """
     deg = list(map(len, adj))
     exposed = sorted((v for v, w in enumerate(mate) if w == -1), key=deg.__getitem__)
@@ -241,8 +295,7 @@ def _maximize(adj, mate):
     roots = sorted(v for v in exposed if mate[v] == -1)
     search = _Search(adj, mate)
     while roots and search.phase(roots):
-        search.reset()
-        roots = [v for v in roots if mate[v] == -1]
+        roots = search.reset(roots)
     return search
 
 

@@ -35,13 +35,14 @@ def decompose(g: Graph) -> GallaiEdmonds:
     One blossom pass grows the matching.  A perfect one ends the work:
     D = A = D* = ∅, C = V, and its mate list is the whole cover, which
     ``solve``'s final check rejects if it is no matching of g.  Otherwise
-    the pass's last forest is Hungarian, and its inner vertices are A
-    (Lovász and Plummer, *Matching Theory*, ch. 3).  One traversal of G - A
-    reads the rest: its odd components are the D-components, the
-    singletons among them D*, and its even components make up C.  The
-    traversal also certifies the matching without trusting the search: by
-    the Tutte-Berge formula it is maximum iff it leaves exactly
-    odd(G - A) - |A| vertices exposed.  Otherwise
+    the pass ends holding a Hungarian forest: the trees it kept across
+    phases, and the forest of a last phase that augmented nothing.  Its
+    inner vertices are A (Lovász and Plummer, *Matching Theory*, ch. 3).
+    One traversal of G - A reads the rest: its odd components are the
+    D-components, the singletons among them D*, and its even components
+    make up C.  The traversal also certifies the matching without trusting
+    the search: by the Tutte-Berge formula it is maximum iff it leaves
+    exactly odd(G - A) - |A| vertices exposed.  Otherwise
     :class:`InternalInvariantError` is raised.
     """
     n, adj = g.n, g.adjacency

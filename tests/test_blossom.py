@@ -2,7 +2,7 @@ import random
 
 from matchcover import Graph, brute_d_set, brute_nu, random_connected_graph
 from matchcover.blossom import maximum_matching
-from matchcover import blossom, cover
+from matchcover import blossom, cover, gallai_edmonds
 from matchcover.cover import solve
 from matchcover.gallai_edmonds import decompose
 from matchcover.oracle import OracleBudget, is_factor_critical
@@ -29,6 +29,19 @@ def grow(g, pairs=()):
         mate[u], mate[v] = v, u
     blossom._maximize(g.adjacency, mate)
     return blossom._from_mate(mate)
+
+
+def seed_decompose(monkeypatch, pairs):
+    """Make ``decompose``'s blossom pass start from the matching ``pairs``
+    rather than from the empty one."""
+    maximize = blossom._maximize
+
+    def seeded(adj, mate):
+        for u, v in pairs:
+            mate[u], mate[v] = v, u
+        return maximize(adj, mate)
+
+    monkeypatch.setattr(gallai_edmonds, "_maximize", seeded)
 
 
 def test_maximum_matching_k2():
@@ -254,9 +267,10 @@ def lowest_id_greedy_exposed(g):
 def test_degree_seed_leaves_few_searches(monkeypatch):
     """The least-degree seed leaves 34 to 40 roots for the first phase on
     these m = 3n random graphs with n = 1000 (the lowest-id seed leaves 110
-    to 142), and one or two phases finish the pass.
-    Every phase augments, except a last one when the matching is not
-    perfect: that phase grows the Hungarian forest."""
+    to 142), and one or two phases finish the pass.  Every matching here is
+    perfect, so every phase augments.  A pass that leaves vertices exposed
+    ends instead with a phase that augments nothing, or once every exposed
+    vertex lies in a kept tree."""
     log = counting_phases(monkeypatch)
     for s in range(5):
         g = random_connected_graph(1000, m=3000, seed=s)
@@ -312,17 +326,106 @@ def test_assembly_runs_no_blossom_phase(monkeypatch):
 
 def test_seeded_pass_ends_with_a_hungarian_phase(monkeypatch):
     """P4 0-1-2-3 seeded with 1-2, beside stars K_{1,3} each seeded with one
-    edge.  The first phase augments along 0-1-2-3 and grows the stars'
-    Hungarian trees from their two exposed leaves each; the pass ends with
-    a last phase that augments nothing and grows those trees again."""
+    edge.  The first phase augments along 0-1-2-3 and grows each star's
+    Hungarian tree from its lower exposed leaf, which reset keeps; the tree
+    of the higher leaf meets the kept tree's center and is tainted.  The
+    pass ends with a last phase that augments nothing and grows only the
+    tainted trees, one root each.  A reads the centers off the kept trees."""
     stars = 5
     edges, seed = [(0, 1), (1, 2), (2, 3)], [(1, 2)]
     for c in range(4, 4 + 4 * stars, 4):
         edges += [(c, c + 1), (c, c + 2), (c, c + 3)]
         seed.append((c, c + 1))
     g = Graph.from_edges(4 + 4 * stars, edges)
-    roots = 2 + 2 * stars
     log = counting_phases(monkeypatch)
     grown = grow(g, seed)
     assert {(0, 1), (2, 3)} <= set(grown.pairs) and len(grown) == 2 + stars
-    assert log == [(roots, 1, roots + 2 + 2 * stars), (2 * stars, 0, 4 * stars)]
+    assert log == [(12, 1, 24), (5, 0, 5)]
+    seed_decompose(monkeypatch, seed)
+    assert decompose(g).a == set(range(4, 4 + 4 * stars, 4))
+
+
+def test_pass_ends_once_every_exposed_vertex_is_in_a_kept_tree(monkeypatch):
+    """P4 0-1-2-3 seeded with 1-2, beside the triangles 4-5-6 and 7-8-9.  The
+    greedy seed pairs 4-5 and 7-8; one phase augments along 0-1-2-3 and
+    grows the triangles' Hungarian trees from 6 and 9, which reset keeps.
+    No root is left, so the pass ends after that phase, although it
+    augmented, and the kept trees alone hold the Hungarian forest."""
+    g = Graph.from_edges(10, [(0, 1), (1, 2), (2, 3), (4, 5), (4, 6), (5, 6),
+                              (7, 8), (7, 9), (8, 9)])
+    log = counting_phases(monkeypatch)
+    mate = [-1] * g.n
+    mate[1], mate[2] = 2, 1
+    search = blossom._maximize(g.adjacency, mate)
+    assert log == [(4, 1, 10)]
+    assert [v for v in range(g.n) if mate[v] == -1] == [6, 9]
+    assert {6, 9} <= set(search.kept) and search.touched == []
+    seed_decompose(monkeypatch, [(1, 2)])
+    assert decompose(g).d == brute_d_set(g, BUDGET) == set(range(4, 10))
+
+
+def test_tree_meeting_a_dead_tree_is_grown_again(monkeypatch):
+    """P4 0-1-2-3 seeded with 1-2, with a leaf 4 on 2, beside the triangle
+    5-6-7 (the greedy seed pairs 5-6).  In the first phase 0 labels 2 as
+    outer and 3 augments along 0-1-2-3; then 4 scans 2, an outer vertex of
+    a dead tree, so 4's tree is tainted.  Kept as it stood, {4} alone, it
+    would hide the path 4-2-3 and give A = {} and D = V.  The second phase
+    grows it again: 2 inner, 3 outer, so A = {2}."""
+    g = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (2, 4), (5, 6), (5, 7),
+                             (6, 7)])
+    log = counting_phases(monkeypatch)
+    seed_decompose(monkeypatch, [(1, 2)])
+    ge = decompose(g)
+    assert log == [(4, 1, 8), (1, 0, 3)]
+    assert ge.a == {2}
+    assert ge.d == brute_d_set(g, BUDGET) == {3, 4, 5, 6, 7}
+
+
+class Regrowing(blossom._Search):
+    """The search without kept trees: reset unlabels every vertex the phase
+    touched, and every still-exposed root starts the next phase."""
+
+    __slots__ = ()
+
+    def reset(self, roots):
+        label, parent, p = self.label, self.parent, self.p
+        for v in self.touched:
+            label[v] = blossom._UNLABELED
+            parent[v] = v
+            p[v] = -1
+        self.touched.clear()
+        self.tainted.clear()
+        return [r for r in roots if self.mate[r] == -1]
+
+
+def random_graph(seed):
+    """A graph on 2 to 80 vertices: for an even seed, connected with n - 1
+    to 3n edges; for an odd one, a relabelled disjoint union of pieces of
+    1 to 12 vertices, each a G(k, p) sample."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 80)
+    if seed % 2 == 0:
+        m = rng.randint(n - 1, min(3 * n, n * (n - 1) // 2))
+        return random_connected_graph(n, m=m, seed=seed)
+    edges, start = [], 0
+    while start < n:
+        k, p = min(rng.randint(1, 12), n - start), rng.random()
+        edges += [(start + i, start + j) for i in range(k) for j in range(i + 1, k)
+                  if rng.random() < p]
+        start += k
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_kept_trees_match_regrowing_every_tree(monkeypatch):
+    """Keeping Hungarian trees changes no output: on 2000 seeded graphs,
+    half of them disjoint unions, decompose returns the same D, A, C, mate
+    list and D* as a pass that grows every tree again in every phase."""
+    graphs = [random_graph(s) for s in range(2000)]
+    kept = [decompose(g) for g in graphs]
+    monkeypatch.setattr(blossom, "_Search", Regrowing)
+    for g, got in zip(graphs, kept):
+        want = decompose(g)
+        assert (got.d, got.a, got.c, got.mate, got.d_star) == (
+            want.d, want.a, want.c, want.mate, want.d_star)
