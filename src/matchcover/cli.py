@@ -15,7 +15,7 @@ import time
 from .cover import solve, verify_cover
 from .errors import InternalInvariantError, NoCoverError
 from .generate import random_connected_graph
-from .graph import Graph, GraphFormatError, _parse_pairs, serialize_graph
+from .graph import Graph, GraphFormatError, _parse_canonical, _parse_lines, serialize_graph
 from .oracle import OracleBudget, OracleBudgetError, brute_mc
 
 EXIT_OK = 0
@@ -36,18 +36,22 @@ def _load_graph(path: str):
     except UnicodeDecodeError as exc:
         print(f"error: {path}: not UTF-8 text: {exc}", file=sys.stderr)
         return None, EXIT_USAGE
+    g = _parse_canonical(text)
+    if g is not None:
+        return g, EXIT_OK
     try:
-        n, pairs = _parse_pairs(text)
+        n, ends = _parse_lines(text)
     except GraphFormatError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return None, EXIT_USAGE
-    if n > 2 * len(pairs):
-        # some vertex is on no edge: say which before building n adjacency lists
-        ends = {v for e in pairs for v in e}
-        v = next(v for v in range(n) if v not in ends)
+    if n > len(ends):
+        # some vertex is on no edge: say which before building n adjacency
+        # lists (the bulk reader takes no such header)
+        covered = set(ends)
+        v = next(v for v in range(n) if v not in covered)
         print(f"error: {NoCoverError.isolated(v)}", file=sys.stderr)
         return None, EXIT_NO_COVER
-    return Graph._from_checked_pairs(n, pairs), EXIT_OK
+    return Graph._from_ends(n, ends), EXIT_OK
 
 
 def _internal_error(exc: Exception) -> int:

@@ -86,9 +86,8 @@ def solve(
     """
     if g.n == 0:
         raise NoCoverError("empty graph has no matching cover")
-    isolated = next((v for v, nbrs in enumerate(g.adjacency) if not nbrs), None)
-    if isolated is not None:
-        raise NoCoverError.isolated(isolated)
+    if not all(g.adjacency):
+        raise NoCoverError.isolated(g.adjacency.index(()))
     result = _solve_cases(g, trace)
     if not verify_cover(g, result.cover):
         raise InternalInvariantError("assembled cover is not a valid matching cover of G")

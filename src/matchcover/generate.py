@@ -56,4 +56,4 @@ def random_connected_graph(
         if u == v:
             continue
         edges_set.add((min(u, v), max(u, v)))
-    return Graph.from_edges(n, sorted(edges_set))
+    return Graph.from_edges(n, edges_set)

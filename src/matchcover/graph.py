@@ -6,7 +6,7 @@ import json
 import operator
 import re
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 from typing import Iterable
 
 
@@ -24,15 +24,14 @@ class GraphFormatError(ValueError):
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    The three fields are the whole graph; nothing else is cached.  Edges
-    are stored as (u, v) pairs with u < v in ascending order, and each
-    adjacency list is sorted ascending, so all iteration is reproducible
-    and edge membership is a binary search in one list.  Instances are
-    immutable and safe to share between threads.
+    The two fields are the whole graph; nothing else is stored or cached.
+    Each adjacency list is sorted ascending, so all iteration is
+    reproducible and edge membership is a binary search in one list.
+    ``edges`` and ``m`` are derived from the adjacency on each read.
+    Instances are immutable and safe to share between threads.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
     adjacency: tuple[tuple[int, ...], ...]
 
     @classmethod
@@ -40,7 +39,7 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         seen: set[tuple[int, int]] = set()
-        norm: list[tuple[int, int]] = []
+        ends: list[int] = []
         for u, v in edges:
             if not (0 <= u < n) or not (0 <= v < n):
                 raise ValueError(f"edge endpoint out of range: {u}-{v}")
@@ -50,27 +49,41 @@ class Graph:
             if e in seen:
                 raise ValueError(f"duplicate edge {e[0]}-{e[1]}")
             seen.add(e)
-            norm.append(e)
-        norm.sort()
-        return cls._from_checked_pairs(n, norm)
+            ends += e
+        return cls._from_ends(n, ends)
 
     @classmethod
-    def _from_checked_pairs(cls, n: int, pairs: list[tuple[int, int]]) -> "Graph":
-        """Build from distinct ascending pairs (u, v), 0 <= u < v < n, unchecked."""
-        # once the pairs are sorted, each vertex meets its lower neighbours
-        # (as v) before its higher ones, so every adjacency list is ascending
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in pairs:
-            adj[u].append(v)
-            adj[v].append(u)
-        return cls(n, tuple(pairs), tuple(map(tuple, adj)))
+    def _from_ends(cls, n: int, ends: list[int]) -> "Graph | None":
+        """The graph with edges ends[0]-ends[1], ends[2]-ends[3], ...; None
+        when an end is outside 0..n-1, an edge is a self-loop or two edges
+        are equal.  Every end must be at least -1."""
+        # ends -1 and n land in the spare last slot; larger ones raise IndexError
+        adj: list[list[int]] = [[] for _ in range(n + 1)]
+        it = iter(ends)
+        try:
+            for u, v in zip(it, it):
+                adj[u].append(v)
+                adj[v].append(u)
+        except IndexError:
+            return None
+        # dropping the spare slot loses its entries, and a self-loop or a
+        # repeated edge puts one vertex twice in some list: either way the n
+        # lists hold fewer than 2m distinct entries
+        adj.pop()
+        if sum(map(len, map(set, adj))) != len(ends):
+            return None
+        for nbrs in adj:
+            nbrs.sort()
+        return cls(n, tuple(map(tuple, adj)))
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge once as (u, v) with u < v, in ascending order."""
+        return tuple((u, v) for u, vs in enumerate(self.adjacency) for v in vs if u < v)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return sum(map(len, self.adjacency)) // 2
 
 
 # The layout serialize_graph writes: a header line, then `e <u> <v>` lines,
@@ -86,25 +99,22 @@ def parse_graph(text: str) -> Graph:
     """Parse the `p <n> <m>` / `e <u> <v>` edge-list format (1-indexed).
 
     Comment lines start with `c`; blank lines are ignored. Errors name the
-    offending line. Vertices are stored 0-indexed.
+    offending line. Vertices are stored 0-indexed, as the graph's two
+    fields: n and the sorted adjacency lists.
 
     Text in the exact layout :func:`serialize_graph` writes (optionally
-    newline-terminated) is read in bulk; any other layout, and any text that
-    fails a check, is read line by line, which accepts the same inputs,
-    builds the same graph and names the offending line.
+    newline-terminated) with n <= 2m is read in bulk; any other text, and
+    any text that fails a check, is read line by line, which accepts the
+    same inputs, builds the same graph and names the offending line.
     """
-    return Graph._from_checked_pairs(*_parse_pairs(text))
+    g = _parse_canonical(text)
+    return Graph._from_ends(*_parse_lines(text)) if g is None else g
 
 
-def _parse_pairs(text: str) -> tuple[int, list[tuple[int, int]]]:
-    """Checked n and ascending 0-indexed pairs; no adjacency."""
-    parsed = _parse_canonical(text)
-    return _parse_lines(text) if parsed is None else parsed
-
-
-def _parse_canonical(text: str) -> tuple[int, list] | None:
-    """The parsed pairs of a valid canonical-layout text, or None to read it
-    line by line (another layout, or a check failed)."""
+def _parse_canonical(text: str) -> Graph | None:
+    """The graph of a valid canonical-layout text with n <= 2m, or None to
+    read it line by line (another layout, a check failed, or a header with
+    more vertices than edge ends, which leaves one isolated)."""
     if text.endswith("\n"):
         text = text[:-1]
     header = _HEADER.match(text)
@@ -116,38 +126,25 @@ def _parse_canonical(text: str) -> tuple[int, list] | None:
         # "e " read as a JSON array: "1 2\ne 3 4" -> [1, 2, 3, 4]; json raises
         # on a leading zero, which the line reader accepts, and, like int,
         # on a digit string beyond int's length limit
-        flat = json.loads(
+        ends = json.loads(
             "[" + text[header.end() + 2 :].replace("\ne ", ",").replace(" ", ",") + "]"
         )
     except ValueError:
         return None
-    if n < 1 or len(flat) != 2 * m or (flat and not 1 <= min(flat) <= max(flat) <= n):
+    if not 0 < n <= 2 * m == len(ends):
         return None
-    # the text copies die as flat is built, and flat once it is split in
-    # halves: from here on at most two lists of m objects are alive at a time
-    us, vs = flat[0::2], flat[1::2]
-    del flat
-    if any(map(operator.eq, us, vs)):
-        return None
-    # sort each edge as the integer lo * n + hi of its 0-indexed ends
-    # lo < hi: ints order like the pairs and compare faster, and divmod by
-    # n gives the pairs back
-    shift = n + 1
-    keys = [u * n + v - shift if u < v else v * n + u - shift for u, v in zip(us, vs)]
-    del us, vs
-    keys.sort()
-    # a duplicate has its twin's key in either orientation, so it sorts next
-    # to it; the line reader then names its line
-    if any(map(operator.eq, keys, islice(keys, 1, None))):
-        return None
-    return n, list(map(divmod, keys, repeat(n)))
+    # 0-indexed; the text's endpoint 0 becomes -1, which the builder rejects
+    # with every other end outside the graph; rebinding drops the JSON list
+    ends = list(map(operator.sub, ends, repeat(1)))
+    return Graph._from_ends(n, ends)
 
 
-def _parse_lines(text: str) -> tuple[int, list]:
-    """Line-by-line reader for every accepted layout; names the bad line."""
+def _parse_lines(text: str) -> tuple[int, list[int]]:
+    """Line-by-line reader for every accepted layout; names the bad line.
+    Gives n and the checked 0-indexed ends, two per edge, in line order."""
     n = None
     m = None
-    edges: list[tuple[int, int]] = []
+    ends: list[int] = []
     seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -184,15 +181,14 @@ def _parse_lines(text: str) -> tuple[int, list]:
             if e in seen:
                 raise GraphFormatError(f"duplicate edge {u} {v}", lineno)
             seen.add(e)
-            edges.append(e)
+            ends += e
         else:
             raise GraphFormatError(f"unknown line type {parts[0]!r}", lineno)
     if n is None:
         raise GraphFormatError("missing 'p <n> <m>' header")
-    if len(edges) != m:
-        raise GraphFormatError(f"header declares {m} edges, found {len(edges)}")
-    edges.sort()
-    return n, edges
+    if len(ends) != 2 * m:
+        raise GraphFormatError(f"header declares {m} edges, found {len(ends) // 2}")
+    return n, ends
 
 
 def serialize_graph(g: Graph) -> str:
@@ -214,11 +210,11 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} not in host graph")
     idx = {old: new for new, old in enumerate(old_ids)}
-    # ascending u, then ascending v in u's sorted list: the pairs come sorted
-    sub_edges = [
-        (idx[u], idx[v]) for u in old_ids for v in g.adjacency[u] if u < v and v in idx
-    ]
-    return Graph._from_checked_pairs(len(old_ids), sub_edges), old_ids
+    # idx keeps the order of ids, so each host list stays sorted when filtered
+    adjacency = tuple(
+        tuple(idx[v] for v in g.adjacency[u] if v in idx) for u in old_ids
+    )
+    return Graph(len(old_ids), adjacency), old_ids
 
 
 def components(g: Graph) -> list[tuple[int, ...]]:

@@ -103,7 +103,7 @@ def brute_mc(g: Graph, budget: OracleBudget | None = None) -> int:
     if g.n == 1:
         raise ValueError("a single vertex has no matching cover")
     for v in range(g.n):
-        if g.degree(v) == 0:
+        if not g.adjacency[v]:
             raise ValueError(f"isolated vertex {v} cannot be covered")
     deadline = (
         time.monotonic() + budget.timeout_s if budget.timeout_s is not None else None

@@ -216,13 +216,13 @@ def test_solve_rejects_header_beyond_twice_the_edges(tmp_path, capsys, monkeypat
     """A header declaring n > 2m leaves some vertex on no edge: solve, and
     oracle alike, exit 3 naming the lowest one, without building the n
     adjacency lists."""
-    real = Graph._from_checked_pairs
+    real = Graph._from_ends
 
-    def guarded(n, pairs):
-        assert n <= 2 * len(pairs), "graph built for a header beyond 2m"
-        return real(n, pairs)
+    def guarded(n, ends):
+        assert n <= len(ends), "graph built for a header beyond 2m"
+        return real(n, ends)
 
-    monkeypatch.setattr(Graph, "_from_checked_pairs", guarded)
+    monkeypatch.setattr(Graph, "_from_ends", guarded)
     for text, v in [
         ("p 1000000000 0\n", 0),
         ("p 5 2\ne 1 2\ne 3 4\n", 4),

@@ -180,8 +180,8 @@ def test_parse_serialize_round_trip_random():
 
 
 def _lines_graph(text):
-    """The graph built from the line reader's pairs."""
-    return Graph._from_checked_pairs(*_parse_lines(text))
+    """The graph built from the line reader's edge ends."""
+    return Graph._from_ends(*_parse_lines(text))
 
 
 def _outcome(parse, text):
@@ -264,10 +264,13 @@ def test_bulk_parse_agrees_with_line_reader():
     accepted = 0
     errors = []
     for text in _canonical_texts(rng):
-        # canonical text is read in bulk, not handed to the line reader
+        # canonical text with n <= 2m is read in bulk, not handed to the line
+        # reader; the edgeless "p 3 0" is not
         parsed = _parse_canonical(text)
-        assert parsed is not None
-        assert parsed == _parse_lines(text)
+        if text == "p 3 0":
+            assert parsed is None
+        else:
+            assert parsed == _lines_graph(text)
         for variant in _mutations(text, rng):
             got = _outcome(parse_graph, variant)
             assert got == _outcome(_lines_graph, variant), variant
@@ -302,29 +305,40 @@ def test_bulk_reader_passes_leading_zeros_and_long_digits_on():
     assert parse_graph("p 3 2\ne 01 2\ne 2 3") == path_graph(3)
 
 
-def test_edgeless_header_is_read_in_bulk():
+def test_edgeless_header_is_read_line_by_line():
+    """An edgeless header has n > 2m: the bulk reader declines it, and the
+    line reader gives n and no edge ends."""
     for text in ("p 3 0", "p 3 0\n"):
-        assert _parse_canonical(text) == (3, [])
+        assert _parse_canonical(text) is None
+        assert _parse_lines(text) == (3, [])
+        assert parse_graph(text) == Graph.from_edges(3, [])
 
 
-def test_graph_is_its_three_fields():
-    """Parsed (canonical and CRLF), from_edges and directly built graphs
-    hold n, edges and adjacency and nothing else, and are equal with equal
-    hashes."""
+def test_graph_is_its_two_fields():
+    """Parsed (bulk and CRLF), from_edges and directly built graphs hold n
+    and adjacency and nothing else, are equal with equal hashes, and derive
+    edges and m equal to the random edge set they were built from."""
     rng = random.Random(9)
-    for seed in range(20):
+    for _ in range(20):
         n = rng.randrange(2, 30)
-        m = rng.randrange(n - 1, min(2 * n, n * (n - 1) // 2) + 1)
-        g0 = random_connected_graph(n, m=m, seed=seed)
-        text = serialize_graph(g0)
+        m = rng.randrange((n + 1) // 2, min(2 * n, n * (n - 1) // 2) + 1)
+        pairs = sorted(rng.sample([(u, v) for u in range(n) for v in range(u + 1, n)], m))
+        adjacency = tuple(
+            tuple(sorted([v for u, v in pairs if u == w] + [u for u, v in pairs if v == w]))
+            for w in range(n)
+        )
+        text = "\n".join([f"p {n} {m}", *(f"e {u + 1} {v + 1}" for u, v in pairs)])
+        assert _parse_canonical(text) is not None
+        g0 = Graph(n, adjacency)
         for g in (
             parse_graph(text),
             parse_graph(text.replace("\n", "\r\n")),
-            Graph.from_edges(n, [(v, u) for u, v in reversed(g0.edges)]),
-            Graph(g0.n, g0.edges, g0.adjacency),
+            Graph.from_edges(n, [(v, u) for u, v in reversed(pairs)]),
+            g0,
         ):
-            assert set(vars(g)) == {"n", "edges", "adjacency"}
+            assert set(vars(g)) == {"n", "adjacency"}
             assert g == g0 and hash(g) == hash(g0)
+            assert g.edges == tuple(pairs) and g.m == m
 
 
 def test_induced_subgraph_matches_edge_filter():
@@ -342,3 +356,63 @@ def test_induced_subgraph_matches_edge_filter():
             [(idx[u], idx[v]) for u, v in g.edges if u in idx and v in idx],
         )
         assert sub == expected
+
+
+def test_bulk_rejections_name_the_line_reader_line():
+    """Canonical-layout texts with an endpoint 0, an endpoint n + 1 (or far
+    beyond n, up to no index-sized integer), a self-loop, or a reversed
+    duplicate far from its twin: the bulk reader declines each, and
+    parse_graph gives the line reader's message and line."""
+    g = random_connected_graph(40, m=80, seed=3)
+    header, *lines = serialize_graph(g).split("\n")
+    _, u, v = lines[10].split()
+    first_u, first_v = lines[0].split()[1:]
+
+    def with_line(i, new):
+        return "\n".join([header, *lines[:i], new, *lines[i + 1 :]])
+
+    for text, message, line in [
+        (with_line(10, f"e 0 {v}"), f"edge endpoint out of range: 0 {v}", 12),
+        (with_line(10, f"e {u} 41"), f"edge endpoint out of range: {u} 41", 12),
+        (with_line(10, f"e {u} 4100"), f"edge endpoint out of range: {u} 4100", 12),
+        (with_line(10, f"e {'9' * 30} {v}"), f"edge endpoint out of range: {'9' * 30} {v}", 12),
+        (with_line(10, f"e {u} {u}"), f"self-loop at vertex {u}", 12),
+        (with_line(79, f"e {first_v} {first_u}"), f"duplicate edge {first_v} {first_u}", 81),
+    ]:
+        assert _parse_canonical(text) is None
+        expected = (f"line {line}: {message}", line)
+        assert _outcome(parse_graph, text) == _outcome(_lines_graph, text) == expected
+
+
+def test_high_degree_reads_the_same_in_bulk_and_by_line():
+    """K_{4,330}, each center of degree 330, in serialize order and with
+    its edge lines shuffled and half reversed."""
+    k, big = 4, 330
+    pairs = [(a, b) for a in range(k) for b in range(k, k + big)]
+    rng = random.Random(4)
+    shuffled = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in pairs]
+    rng.shuffle(shuffled)
+    for order in (pairs, shuffled):
+        text = "\n".join([f"p {k + big} {len(pairs)}", *(f"e {a + 1} {b + 1}" for a, b in order)])
+        g = _parse_canonical(text)
+        assert g is not None and g == _lines_graph(text)
+        assert g.adjacency[0] == tuple(range(k, k + big))
+        assert g.adjacency[k] == tuple(range(k))
+
+
+def test_edges_and_adjacency_are_ascending():
+    """On random graphs, parsed from shuffled text or built from edges:
+    edges ascend, there are m of them, and every adjacency entry is an
+    ascending tuple."""
+    rng = random.Random(13)
+    for seed in range(30):
+        n = rng.randrange(2, 80)
+        m = rng.randrange(n - 1, min(3 * n, n * (n - 1) // 2) + 1)
+        g0 = random_connected_graph(n, m=m, seed=seed)
+        header, *lines = serialize_graph(g0).split("\n")
+        rng.shuffle(lines)
+        for g in (parse_graph("\n".join([header, *lines])), Graph.from_edges(n, g0.edges[::-1])):
+            assert list(g.edges) == sorted(g.edges) and len(g.edges) == g.m == m
+            assert all(u < v for u, v in g.edges)
+            for nbrs in g.adjacency:
+                assert type(nbrs) is tuple and list(nbrs) == sorted(nbrs)
