@@ -98,13 +98,17 @@ def star_table(a_side, center):
 
 
 def misroute_first_switch(patch, g):
-    """Make balancing's first switching path move a D*-vertex to an
-    A-vertex it is not adjacent to in g, and end balancing there."""
+    """Make balancing's first phase apply one path that moves a D*-vertex
+    to an A-vertex it is not adjacent to in g, and end balancing there.
+
+    The fault replaces the phase search, not ``transform``: the seed of
+    K_{3,10} less an edge is already balanced, so no real path is ever
+    applied on it."""
     done = []
 
-    def misrouted(root_of, pred, stars):
+    def misrouted(adj, stars, roots, delta):
         if done:
-            return None
+            return
         done.append(True)
         a, d, b = next(
             (a, d, b)
@@ -113,9 +117,11 @@ def misroute_first_switch(patch, g):
             for b in stars
             if b not in g.adjacency[d]
         )
-        return dstar.SwitchingPath((a, d, b))
+        path = dstar.SwitchingPath((a, d, b))
+        dstar.transform(stars, path)
+        yield path
 
-    patch.setattr(dstar, "find_switching_path", misrouted)
+    patch.setattr(dstar, "_phase", misrouted)
 
 
 def share_a_dstar_vertex(patch):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +152,33 @@ def test_solve_json(tmp_path, capsys):
     assert obj["branch"] == "gstar"
     assert obj["md"] == 2
     assert obj["cover"] == [[[1, 2]], [[2, 3]]]
+
+
+def _run_module(*args):
+    """``python -m matchcover.cli`` in a child process, with the package
+    this test imports on its path."""
+    src = str(Path(matchcover.cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "matchcover.cli", *args],
+        capture_output=True, env=env, check=False,
+    )
+
+
+def test_cli_runs_as_a_module(tmp_path, capsys):
+    """The module prints the same report as ``main`` and exits 0; a
+    malformed file exits 2 with an error line and no traceback."""
+    path = write(tmp_path, "walk.g", WALK)
+    assert main(["solve", path, "--json"]) == EXIT_OK
+    want = capsys.readouterr().out
+    done = _run_module("solve", path, "--json")
+    assert done.returncode == EXIT_OK
+    assert done.stdout.decode() == want
+    bad = _run_module("solve", write(tmp_path, "bad.g", "p 2 1\ne 1 1\n"))
+    assert bad.returncode == EXIT_USAGE
+    assert bad.stdout == b""
+    assert b"self-loop" in bad.stderr and b"Traceback" not in bad.stderr
 
 
 def test_solve_verify_flag(tmp_path, capsys):

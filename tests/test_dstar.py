@@ -9,11 +9,12 @@ from matchcover import (
     brute_md,
     random_connected_graph,
     solve,
+    verify_cover,
 )
+from matchcover import dstar
 from matchcover.dstar import (
     SwitchingPath,
-    build_forest,
-    find_switching_path,
+    _phase,
     initial_cover,
     max_load,
     optimize,
@@ -119,165 +120,12 @@ def _lopsided():
     return adj, stars
 
 
-def _forest(adj, stars):
-    """The forest rooted at the table's largest stars, as (root_of, pred)."""
-    return build_forest(adj, stars, max_load(stars))
-
-
-def _roots(root_of):
-    """The forest's roots, ascending: the fixed points of root_of."""
-    return sorted(a for a, r in root_of.items() if a == r)
-
-
-def _forest_d_side(root_of, stars):
-    """The forest's D-vertices: the stars of its A-vertices."""
-    return {d for a in root_of for d in stars[a]}
-
-
-def test_build_forest_pulls_in_idle_center():
-    adj, stars = _lopsided()
-    root_of, pred = _forest(adj, stars)
-    assert _roots(root_of) == [0]
-    assert set(root_of) == {0, 1}
-    assert _forest_d_side(root_of, stars) == {2, 3, 4}
-    assert pred[1] == (4, 0)
-
-
-def test_build_forest_no_growth_on_full_star():
-    adj = {1: [0], 2: [0], 3: [0]}
-    stars = star_table([0], {1: 0, 2: 0, 3: 0})
-    root_of, pred = _forest(adj, stars)
-    assert _roots(root_of) == [0]
-    assert set(root_of) == {0}
-    assert pred == {}
-
-
-def test_build_forest_two_components_two_trees():
-    adj = {2: [0], 3: [0], 4: [1], 5: [1]}
-    stars = star_table([0, 1], {2: 0, 3: 0, 4: 1, 5: 1})
-    root_of, _ = _forest(adj, stars)
-    assert _roots(root_of) == [0, 1]
-    assert root_of[0] == 0 and root_of[1] == 1
-
-
-def test_forest_closure():
-    """No derived-graph edge may leave the forest's D side for an A-vertex
-    outside the forest once building finishes."""
-    for seed in range(60):
-        g = random_connected_graph(9, p=0.3, seed=seed)
-        ge = decompose(g)
-        if not ge.a or not ge.d_star:
-            continue
-        stars = lowest_id_table(g.adjacency, ge.a, ge.d_star)
-        if max_load(stars) < 2:
-            continue
-        root_of, _ = _forest(g.adjacency, stars)
-        for d in _forest_d_side(root_of, stars):
-            for a in g.adjacency[d]:
-                assert a in root_of
-
-
-def _full_forest(adj, stars):
-    """Reference forest as (root_of, pred): every tree grown until its queue
-    of D-vertices is empty, from each A-vertex of maximum star size in
-    ascending order; each tree edge names the D-vertex and its center."""
-    delta = max(len(ds) for ds in stars.values())
-    center = {d: a for a, ds in stars.items() for d in ds}
-    root_of, pred = {}, {}
-    for u in [a for a in stars if len(stars[a]) == delta]:
-        if u in root_of:
-            continue
-        root_of[u] = u
-        queue = deque(stars[u])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y in root_of:
-                    continue
-                root_of[y] = u
-                pred[y] = (x, center[x])
-                queue.extend(stars[y])
-    return root_of, pred
-
-
-def _check_forest_and_path(adj, stars):
-    """The forest equals full growth, each pred entry is a tree edge, and
-    the switching path read from it alternates; return both."""
-    root_of, pred = _forest(adj, stars)
-    assert (root_of, pred) == _full_forest(adj, stars)
-    for y, (x, a) in pred.items():
-        assert x in stars[a]
-        assert y in adj[x]
-        assert root_of[a] == root_of[y]
-    path = find_switching_path(root_of, pred, stars)
-    if path is not None:
-        verts = path.vertices
-        assert root_of[verts[0]] == verts[0]
-        # each D-vertex is in the star of the center before it, and
-        # adjacent to the center after it
-        for a, d, a_next in zip(verts[0::2], verts[1::2], verts[2::2]):
-            assert d in stars[a]
-            assert a_next in adj[d]
-    return root_of, path
-
-
-@pytest.mark.parametrize(
-    "a_side, adj, root_of",
-    [
-        # A-vertex 2 has no D-neighbour: the forest never holds every
-        # A-vertex, so growth runs to the end
-        ([0, 1, 2], {3: [0], 4: [0, 1], 5: [0]}, {0: 0, 1: 0}),
-        # two components: the first tree claims its own, and the second
-        # stops once it holds the last A-vertex
-        (
-            [0, 1, 2, 3],
-            {4: [0, 1], 5: [0], 6: [0], 7: [2, 3], 8: [2], 9: [2]},
-            {0: 0, 1: 0, 2: 2, 3: 2},
-        ),
-    ],
-    ids=["isolated_a_vertex", "disconnected"],
-)
-def test_build_forest_stop_keeps_forest(a_side, adj, root_of):
-    """Each D-vertex on its first A-neighbour; same forest as full growth."""
-    stars = star_table(a_side, {d: nb[0] for d, nb in adj.items()})
-    forest = _forest(adj, stars)
-    assert forest == _full_forest(adj, stars)
-    assert forest[0] == root_of
-
-
-def test_build_forest_stop_keeps_forest_random():
-    """Same roots, root_of and pred as full growth on random derived graphs
-    and covers, including every cover the balancing loop passes through;
-    every pred entry is a tree edge and every switching path alternates."""
-    rng = random.Random(7)
-    all_claimed = paths = 0
-    for _ in range(400):
-        a_side = list(range(rng.randint(1, 6)))
-        n_a = len(a_side)
-        adj = {
-            n_a + i: rng.sample(a_side, rng.randint(1, n_a))
-            for i in range(rng.randint(1, 14))
-        }
-        stars = star_table(a_side, {d: rng.choice(nb) for d, nb in adj.items()})
-        root_of, path = _check_forest_and_path(adj, stars)
-        paths += path is not None
-        all_claimed += len(root_of) == n_a
-    assert all_claimed >= 100
-    assert paths >= 100
-    checked = 0
-    for seed in range(200):
-        g = random_connected_graph(20, p=0.15, seed=seed)
-        ge = decompose(g)
-        if not ge.a:
-            continue
-        stars = lowest_id_table(g.adjacency, ge.a, ge.d_star)
-
-        def same_as_full(*_):
-            _check_forest_and_path(g.adjacency, stars)
-
-        same_as_full()
-        checked += optimize(g.adjacency, stars, trace=same_as_full) + 1
-    assert checked >= 150
+def _paths(adj, stars):
+    """The vertex tuples of one phase's paths from the table's largest
+    stars; the phase applies them to stars."""
+    delta = max_load(stars)
+    roots = [a for a, ds in stars.items() if len(ds) == delta]
+    return [path.vertices for path in _phase(adj, stars, roots, delta)]
 
 
 class _CountingAdj(dict):
@@ -290,34 +138,169 @@ class _CountingAdj(dict):
         return super().__getitem__(d)
 
 
-def test_build_forest_stops_once_every_a_vertex_is_claimed():
-    """On K_{3,12} with every D-vertex on center 0, the first D-vertex
-    reaches both other centers and no further adjacency list is read."""
-    adj = _CountingAdj({d: [0, 1, 2] for d in range(3, 15)})
-    stars = star_table([0, 1, 2], {d: 0 for d in range(3, 15)})
-    forest = build_forest(adj, stars, 12)
-    assert adj.reads == 1
-    assert forest == _full_forest(adj, stars)
-    assert forest[1] == {1: (3, 0), 2: (3, 0)}
+class _NoStop(dict):
+    """A star table that overstates its A side by one, so that a phase's
+    search never finds every A-vertex reached and never stops early."""
+
+    def __len__(self):
+        return super().__len__() + 1
 
 
-def test_find_switching_path_lopsided():
+def _check_paths(adj, stars, paths):
+    """Replayed on a copy of stars, in order, each path starts at a center
+    of the largest load delta, ends at one of load at most delta - 2 and
+    alternates: each D-vertex is in the star of the center before it and
+    adjacent to the center after it.  No center is on two paths."""
+    stars = {a: list(ds) for a, ds in stars.items()}
+    delta = max_load(stars)
+    used = set()
+    for verts in paths:
+        centers = verts[0::2]
+        assert used.isdisjoint(centers) and len(set(centers)) == len(centers)
+        used.update(centers)
+        assert len(stars[verts[0]]) == delta
+        assert len(stars[verts[-1]]) <= delta - 2
+        for a, d, a_next in zip(verts[0::2], verts[1::2], verts[2::2]):
+            assert d in stars[a]
+            assert a_next in adj[d]
+        transform(stars, SwitchingPath(verts))
+
+
+def _phase_both_ways(adj, stars):
+    """One phase on copies of stars, with and without the early stop: the
+    same paths and the same table; every path checked.  Return the paths,
+    stars untouched."""
+    stop = {a: list(ds) for a, ds in stars.items()}
+    full = _NoStop((a, list(ds)) for a, ds in stars.items())
+    paths = _paths(adj, stop)
+    assert paths == _paths(adj, full)
+    assert stop == full
+    _check_paths(adj, stars, paths)
+    return paths
+
+
+def test_phase_pulls_in_idle_center():
     adj, stars = _lopsided()
-    path = find_switching_path(*_forest(adj, stars), stars)
-    assert path is not None
-    assert path.vertices == (0, 4, 1)
+    assert _paths(adj, stars) == [(0, 4, 1)]
+    assert stars == {0: [2, 3], 1: [4]}
 
 
-def test_find_switching_path_none_on_full_star():
-    adj = {1: [0], 2: [0], 3: [0]}
+def test_phase_reads_nothing_on_full_star():
+    """The one center is the one root, so every A-vertex is reached before
+    any adjacency list is read, and there is no path."""
+    adj = _CountingAdj({1: [0], 2: [0], 3: [0]})
     stars = star_table([0], {1: 0, 2: 0, 3: 0})
-    assert find_switching_path(*_forest(adj, stars), stars) is None
+    assert _paths(adj, stars) == []
+    assert adj.reads == 0
+    assert stars == {0: [1, 2, 3]}
 
 
-def test_find_switching_path_none_when_degrees_close():
+def test_phase_two_components_two_paths():
+    """Each component holds a root of load 3 and an idle center: one phase
+    applies a path from each root."""
+    adj = {4: [0], 5: [0], 6: [0, 1], 7: [2], 8: [2], 9: [2, 3]}
+    stars = star_table([0, 1, 2, 3], {d: nb[0] for d, nb in adj.items()})
+    assert _paths(adj, stars) == [(0, 6, 1), (2, 9, 3)]
+    assert stars == {0: [4, 5], 1: [6], 2: [7, 8], 3: [9]}
+
+
+def test_phase_ends_at_the_nearest_light_center():
+    """Root 0 has load 4; center 1 (load 2) is light and one step away, the
+    idle center 2 one step beyond it.  The path stops at center 1, where a
+    search for the lightest center would have gone on to 2."""
+    adj = {3: [0], 4: [0], 5: [0], 6: [0, 1], 7: [1], 8: [1, 2]}
+    stars = star_table([0, 1, 2], {3: 0, 4: 0, 5: 0, 6: 0, 7: 1, 8: 1})
+    assert _paths(adj, stars) == [(0, 6, 1)]
+    assert stars == {0: [3, 4, 5], 1: [6, 7, 8], 2: []}
+
+
+def test_phase_none_when_loads_close():
     adj = {2: [0], 3: [0, 1], 4: [1]}
     stars = star_table([0, 1], {2: 0, 3: 0, 4: 1})
-    assert find_switching_path(*_forest(adj, stars), stars) is None
+    assert _paths(adj, stars) == []
+    assert stars == {0: [2, 3], 1: [4]}
+
+
+def test_optimize_uses_each_center_once_per_phase():
+    """Roots 0 and 1 (load 3) both reach only the idle center 2.  The first
+    phase takes it for root 0, so root 1 waits for the next phase; the
+    traced maximum is 3 while root 1 is left, then 2."""
+    adj = {3: [0], 4: [0], 5: [0, 2], 6: [1], 7: [1], 8: [1, 2]}
+    stars = star_table([0, 1, 2], {d: nb[0] for d, nb in adj.items()})
+    traced = []
+    count = optimize(adj, stars, trace=lambda path, delta: traced.append(
+        (path.vertices, delta)))
+    assert count == 2
+    assert traced == [((0, 5, 2), 3), ((1, 8, 2), 2)]
+    assert stars == {0: [3, 4], 1: [6, 7], 2: [5, 8]}
+
+
+@pytest.mark.parametrize(
+    "a_side, adj, paths",
+    [
+        # A-vertex 2 has no D-neighbour: the search never reaches every
+        # A-vertex, so it runs to its light layer
+        ([0, 1, 2], {3: [0], 4: [0, 1], 5: [0]}, [(0, 4, 1)]),
+        # two components: layer 1 reaches the last A-vertex and holds both
+        # light centers
+        (
+            [0, 1, 2, 3],
+            {4: [0, 1], 5: [0], 6: [0], 7: [2, 3], 8: [2], 9: [2]},
+            [(0, 4, 1), (2, 7, 3)],
+        ),
+    ],
+    ids=["isolated_a_vertex", "disconnected"],
+)
+def test_phase_stop_keeps_paths(a_side, adj, paths):
+    """Each D-vertex on its first A-neighbour; same paths as a search
+    without the early stop."""
+    stars = star_table(a_side, {d: nb[0] for d, nb in adj.items()})
+    assert _phase_both_ways(adj, stars) == paths
+
+
+def test_phase_stop_keeps_paths_random():
+    """Same paths and table as a search without the early stop on random
+    derived graphs and covers, including every cover the balancing loop
+    passes through; every path is checked by _check_paths."""
+    rng = random.Random(7)
+    stopped = with_paths = 0
+    for _ in range(400):
+        a_side = list(range(rng.randint(1, 6)))
+        adj = {
+            len(a_side) + i: rng.sample(a_side, rng.randint(1, len(a_side)))
+            for i in range(rng.randint(1, 14))
+        }
+        stars = star_table(a_side, {d: rng.choice(nb) for d, nb in adj.items()})
+        paths = _phase_both_ways(adj, stars)
+        with_paths += bool(paths)
+        stopped += not paths and len(_reached(adj, stars)) == len(a_side)
+    assert stopped >= 100
+    assert with_paths >= 100
+    checked = 0
+    for seed in range(200):
+        g = random_connected_graph(20, p=0.15, seed=seed)
+        ge = decompose(g)
+        if not ge.a:
+            continue
+        stars = lowest_id_table(g.adjacency, ge.a, ge.d_star)
+
+        def both_ways(*_):
+            _phase_both_ways(g.adjacency, stars)
+
+        both_ways()
+        checked += optimize(g.adjacency, stars, trace=both_ways) + 1
+    assert checked >= 150
+
+
+def test_phase_stops_once_every_a_vertex_is_reached():
+    """K_{3,13} with loads 5, 4, 4: the first star member of root 0 reaches
+    both other centers, neither is light, and no further adjacency list is
+    read."""
+    adj = _CountingAdj({d: [0, 1, 2] for d in range(3, 16)})
+    stars = star_table([0, 1, 2], {d: (d - 3) % 3 for d in range(3, 16)})
+    assert [len(ds) for ds in stars.values()] == [5, 4, 4]
+    assert _paths(adj, stars) == []
+    assert adj.reads == 1
 
 
 def test_transform_lopsided():
@@ -470,15 +453,19 @@ def test_initial_cover_balances_complete_bipartite(k, big, relabel):
     assert optimize(g.adjacency, stars) == 0
 
 
-def skewed_host(a):
+def skewed_host(a, pin=False):
     """Random bipartite host with a barrier of a A-vertices 0..a-1 and 10a
     D-vertices: each D-vertex joins one A-vertex among the lowest a/10 ids
-    and one uniform A-vertex (one edge when the two coincide)."""
+    and one uniform A-vertex (one edge when the two coincide).  With pin,
+    each A-vertex j also joins D-vertex a + 10j, so that none is isolated
+    (ROADMAP's skewbip)."""
     rng = random.Random(1)
     edges = set()
     for d in range(a, 11 * a):
         edges.add((rng.randrange(a // 10), d))
         edges.add((rng.randrange(a), d))
+    if pin:
+        edges.update((j, a + 10 * j) for j in range(a))
     return Graph.from_edges(11 * a, sorted(edges))
 
 
@@ -514,3 +501,110 @@ def test_optimize_complete_bipartite_closed_form(k, big, transforms):
         assert count == transforms
     assert solve(g).cover.k == md
 
+
+
+def greedyhard(k):
+    """Tree on 4a - 1 vertices, a = 2^k machines 0..a-1: round r = 1..k has
+    a/2^r jobs, job i joining machines i and a/2^r + i, and each machine
+    has two pendant leaves.  The least-loaded seed, ties to the lowest id,
+    stacks k jobs on machine 0 (Azar, Naor and Rom 1995); mc = 3."""
+    a = 1 << k
+    edges, n = [], a
+    for r in range(1, k + 1):
+        for i in range(a >> r):
+            edges += [(i, n), ((a >> r) + i, n)]
+            n += 1
+    for machine in range(a):
+        edges += [(machine, n), (machine, n + 1)]
+        n += 2
+    return Graph.from_edges(n, edges)
+
+
+def test_optimize_scans_once_per_phase(monkeypatch):
+    """greedyhard(10) takes hundreds of switching paths, but the table is
+    scanned for its maximum once per phase, not once per path."""
+    g = greedyhard(10)
+    assert g.n == 4095
+    calls = []
+    scan = dstar.max_load
+    monkeypatch.setattr(dstar, "max_load", lambda stars: calls.append(1) or scan(stars))
+    res = solve(g)
+    assert len(calls) < 64 < res.transforms
+    assert res.md == 3
+    assert verify_cover(g, res.cover)
+
+
+def _reached(adj, stars):
+    """The A-vertices that the centers of the largest load reach by center
+    -> star member -> A-neighbour steps, those centers included."""
+    delta = max_load(stars)
+    seen = {a for a, ds in stars.items() if len(ds) == delta}
+    todo = list(seen)
+    while todo:
+        for x in stars[todo.pop()]:
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+    return seen
+
+
+def assert_hall_witness(adj, stars):
+    """The balanced table's largest load md is a lower bound on the number
+    of matchings that cover D*.  S, the union of the stars of the reached
+    centers, has N(S) = those centers, so |S| > (md - 1)|N(S)| follows
+    when no reached center has load md - 2 or less.  S is independent
+    with N(S) in A, so a matching covers at most |N(S)| vertices of S."""
+    md = max_load(stars)
+    reached = _reached(adj, stars)
+    s = {x for a in reached for x in stars[a]}
+    n_s = {y for x in s for y in adj[x]}
+    assert n_s == reached
+    assert len(s) > (md - 1) * len(n_s)
+
+
+def _balanced(g):
+    """The star table of g as solve balances it."""
+    ge = decompose(g)
+    stars = initial_cover(g.adjacency, ge.a, ge.d_star, ge.mate)
+    optimize(g.adjacency, stars)
+    return stars
+
+
+def test_final_search_is_a_hall_witness_small():
+    """From a lowest-id start on random graphs with n = 9, balancing ends
+    on a table whose reached stars make md a lower bound."""
+    checked = 0
+    for seed in range(60):
+        g = random_connected_graph(9, p=0.3, seed=seed)
+        ge = decompose(g)
+        if not ge.a or not ge.d_star:
+            continue
+        stars = lowest_id_table(g.adjacency, ge.a, ge.d_star)
+        optimize(g.adjacency, stars)
+        assert_hall_witness(g.adjacency, stars)
+        assert max_load(stars) == brute_md(g.adjacency, ge.a, ge.d_star, BUDGET)
+        checked += 1
+    assert checked >= 20
+
+
+@pytest.mark.parametrize(
+    "g, md",
+    [(skewed_host(500, pin=True), 13), (greedyhard(10), 3)],
+    ids=["skewbip_500", "greedyhard_10"],
+)
+def test_hall_witness_beyond_the_oracle(g, md):
+    """md is optimal at sizes the brute-force oracle cannot reach."""
+    stars = _balanced(g)
+    assert max_load(stars) == md
+    assert_hall_witness(g.adjacency, stars)
+
+
+def test_hall_witness_tree_like_random():
+    """100 tree-like graphs, m = n + n/100 and n near 2000."""
+    for seed in range(100):
+        n = 1950 + seed
+        g = random_connected_graph(n, m=n + n // 100, seed=seed)
+        stars = _balanced(g)
+        assert stars
+        assert_hall_witness(g.adjacency, stars)
