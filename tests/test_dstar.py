@@ -185,13 +185,27 @@ def test_phase_pulls_in_idle_center():
     assert stars == {0: [2, 3], 1: [4]}
 
 
-def test_phase_reads_nothing_on_full_star():
-    """The one center is the one root, so every A-vertex is reached before
-    any adjacency list is read, and there is no path."""
+def _full_star():
     adj = _CountingAdj({1: [0], 2: [0], 3: [0]})
     stars = star_table([0], {1: 0, 2: 0, 3: 0})
-    assert _paths(adj, stars) == []
+    return adj, stars
+
+
+def test_build_forest_no_growth_on_full_star():
+    """The one center is the one root, so the phase's search (which took
+    over from the alternating forest) has reached every A-vertex before it
+    reads any adjacency list, and grows no further."""
+    adj, stars = _full_star()
+    _paths(adj, stars)
     assert adj.reads == 0
+    assert stars == {0: [1, 2, 3]}
+
+
+def test_find_switching_path_none_on_full_star():
+    """With one center there is no light center to end at: the phase
+    yields no switching path."""
+    adj, stars = _full_star()
+    assert _paths(adj, stars) == []
     assert stars == {0: [1, 2, 3]}
 
 
