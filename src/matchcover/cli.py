@@ -1,7 +1,7 @@
 """Command-line front end: solve, cross-check, generate, and benchmark.
 
-Exit codes: 0 success, 2 bad input or parameters, 3 unsolvable instance,
-4 internal error (any solver fault), 5 oracle budget exceeded, 1 oracle mismatch.
+Exit codes: 0 success, 1 oracle mismatch, 2 bad input or parameters, 3 no cover,
+4 internal error (any solver fault), 5 oracle budget exceeded, 141 broken pipe.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ EXIT_USAGE = 2
 EXIT_NO_COVER = 3
 EXIT_INTERNAL = 4
 EXIT_BUDGET = 5
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 
 
 def _load_graph(path: str):
@@ -48,7 +49,7 @@ def _load_graph(path: str):
         # some vertex is on no edge: say which before building n adjacency
         # lists (the bulk reader takes no such header)
         covered = set(ends)
-        v = next(v for v in range(n) if v not in covered)
+        v = next(v for v in range(n) if v + 1 not in covered)
         print(f"error: {NoCoverError.isolated(v)}", file=sys.stderr)
         return None, EXIT_NO_COVER
     return Graph._from_ends(n, ends), EXIT_OK
@@ -60,10 +61,6 @@ def _internal_error(exc: Exception) -> int:
     kind = "" if isinstance(exc, InternalInvariantError) else f"{type(exc).__name__}: "
     print(f"internal error: {kind}{exc}", file=sys.stderr)
     return EXIT_INTERNAL
-
-
-def _fmt_matching(m) -> str:
-    return " ".join(f"{u + 1}-{v + 1}" for u, v in m.pairs)
 
 
 def cmd_solve(args) -> int:
@@ -86,6 +83,8 @@ def cmd_solve(args) -> int:
     except NoCoverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_COVER
+    except BrokenPipeError:
+        raise  # a trace line met a closed stdout: not a solver fault
     except Exception as exc:
         # solve rejects bad input only with NoCoverError; anything else
         # comes from inside the solver
@@ -114,7 +113,7 @@ def cmd_solve(args) -> int:
     else:
         print(f"mc = {result.cover.k}")
         for i, m in enumerate(result.cover.matchings, start=1):
-            print(f"M{i}: {_fmt_matching(m)}")
+            print(f"M{i}: " + " ".join(f"{u + 1}-{v + 1}" for u, v in m.pairs))
     return EXIT_OK
 
 
@@ -122,9 +121,8 @@ def cmd_oracle(args) -> int:
     g, code = _load_graph(args.file)
     if g is None:
         return code
-    budget = OracleBudget(
-        max_vertices=args.max_n, max_edges=args.max_n * (args.max_n - 1) // 2
-    )
+    n = args.max_n
+    budget = OracleBudget(max_vertices=n, max_edges=n * (n - 1) // 2)
     try:
         expected = brute_mc(g, budget)
     except OracleBudgetError as exc:
@@ -149,9 +147,7 @@ def cmd_random(args) -> int:
         return EXIT_USAGE
     try:
         for i in range(args.count):
-            g = random_connected_graph(
-                args.n, p=args.p, m=args.m, seed=args.seed + i
-            )
+            g = random_connected_graph(args.n, p=args.p, m=args.m, seed=args.seed + i)
             if args.count > 1:
                 print(f"c instance {i}")
             print(serialize_graph(g))
@@ -233,7 +229,14 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (`| head`): the flush at exit must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

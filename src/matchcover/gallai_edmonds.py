@@ -1,4 +1,6 @@
-"""Gallai-Edmonds decomposition (D, A, C), certified by the Tutte-Berge formula."""
+"""Gallai-Edmonds decomposition (D, A, C).  Its Tutte-Berge check proves the matching
+maximum and A a tight barrier, not that A is the Gallai-Edmonds set: see ROADMAP.md,
+"Self-certifying optimality"."""
 
 from __future__ import annotations
 

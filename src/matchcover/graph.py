@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import json
-import operator
 import re
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable
 
 
@@ -27,6 +25,7 @@ class Graph:
     The two fields are the whole graph; nothing else is stored or cached.
     Each adjacency list is sorted ascending, so all iteration is
     reproducible and edge membership is a binary search in one list.
+    Parsed and ``from_edges`` graphs share one int object per vertex.
     ``edges`` and ``m`` are derived from the adjacency on each read.
     Instances are immutable and safe to share between threads.
     """
@@ -49,27 +48,28 @@ class Graph:
             if e in seen:
                 raise ValueError(f"duplicate edge {e[0]}-{e[1]}")
             seen.add(e)
-            ends += e
+            ends += (u + 1, v + 1)
         return cls._from_ends(n, ends)
 
     @classmethod
     def _from_ends(cls, n: int, ends: list[int]) -> "Graph | None":
-        """The graph with edges ends[0]-ends[1], ends[2]-ends[3], ...; None
-        when an end is outside 0..n-1, an edge is a self-loop or two edges
-        are equal.  Every end must be at least -1."""
-        # ends -1 and n land in the spare last slot; larger ones raise IndexError
-        adj: list[list[int]] = [[] for _ in range(n + 1)]
+        """The graph with 1-indexed edges ends[0]-ends[1], ends[2]-ends[3],
+        ...; None when an end is outside 1..n, an edge is a self-loop or two
+        edges are equal.  Every end must be nonnegative."""
+        ids = list(range(-1, n + 1))
+        # spare slots 0 and n + 1 take ends 0 and n + 1; larger ends raise IndexError
+        adj: list[list[int]] = [[] for _ in range(n + 2)]
         it = iter(ends)
         try:
             for u, v in zip(it, it):
-                adj[u].append(v)
-                adj[v].append(u)
+                adj[u].append(ids[v])
+                adj[v].append(ids[u])
         except IndexError:
             return None
-        # dropping the spare slot loses its entries, and a self-loop or a
+        # dropping the spare slots loses their entries, and a self-loop or a
         # repeated edge puts one vertex twice in some list: either way the n
         # lists hold fewer than 2m distinct entries
-        adj.pop()
+        del adj[n + 1], adj[0]
         if sum(map(len, map(set, adj))) != len(ends):
             return None
         for nbrs in adj:
@@ -112,9 +112,9 @@ def parse_graph(text: str) -> Graph:
 
 
 def _parse_canonical(text: str) -> Graph | None:
-    """The graph of a valid canonical-layout text with n <= 2m, or None to
-    read it line by line (another layout, a check failed, or a header with
-    more vertices than edge ends, which leaves one isolated)."""
+    """The graph of a valid canonical-layout text with n <= 2m, its JSON ends
+    passed 1-indexed to the builder; None to read it line by line (another
+    layout, a failed check, or a header with n > 2m, which isolates a vertex)."""
     if text.endswith("\n"):
         text = text[:-1]
     header = _HEADER.match(text)
@@ -133,17 +133,13 @@ def _parse_canonical(text: str) -> Graph | None:
         return None
     if not 0 < n <= 2 * m == len(ends):
         return None
-    # 0-indexed; the text's endpoint 0 becomes -1, which the builder rejects
-    # with every other end outside the graph; rebinding drops the JSON list
-    ends = list(map(operator.sub, ends, repeat(1)))
     return Graph._from_ends(n, ends)
 
 
 def _parse_lines(text: str) -> tuple[int, list[int]]:
     """Line-by-line reader for every accepted layout; names the bad line.
-    Gives n and the checked 0-indexed ends, two per edge, in line order."""
-    n = None
-    m = None
+    Gives n and the checked 1-indexed ends, two per edge, in line order."""
+    n = m = None
     ends: list[int] = []
     seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -157,8 +153,7 @@ def _parse_lines(text: str) -> tuple[int, list[int]]:
             if len(parts) != 3:
                 raise GraphFormatError("header must be 'p <n> <m>'", lineno)
             try:
-                n = int(parts[1])
-                m = int(parts[2])
+                n, m = int(parts[1]), int(parts[2])
             except ValueError:
                 raise GraphFormatError("header must be 'p <n> <m>'", lineno) from None
             if n < 1 or m < 0:
@@ -169,15 +164,14 @@ def _parse_lines(text: str) -> tuple[int, list[int]]:
             if len(parts) != 3:
                 raise GraphFormatError("edge must be 'e <u> <v>'", lineno)
             try:
-                u = int(parts[1])
-                v = int(parts[2])
+                u, v = int(parts[1]), int(parts[2])
             except ValueError:
                 raise GraphFormatError("edge must be 'e <u> <v>'", lineno) from None
             if not (1 <= u <= n) or not (1 <= v <= n):
                 raise GraphFormatError(f"edge endpoint out of range: {u} {v}", lineno)
             if u == v:
                 raise GraphFormatError(f"self-loop at vertex {u}", lineno)
-            e = (min(u, v) - 1, max(u, v) - 1)
+            e = (u, v) if u < v else (v, u)
             if e in seen:
                 raise GraphFormatError(f"duplicate edge {u} {v}", lineno)
             seen.add(e)

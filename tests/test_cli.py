@@ -10,6 +10,7 @@ import matchcover.cli
 import matchcover.cover
 from matchcover import Graph, InternalInvariantError, serialize_graph
 from matchcover.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_INTERNAL,
     EXIT_MISMATCH,
     EXIT_NO_COVER,
@@ -20,6 +21,7 @@ from matchcover.cli import (
 
 from conftest import (
     balancing_faults,
+    greedyhard,
     pile_on_first_center,
     plant_mate,
     stall_transform,
@@ -154,15 +156,19 @@ def test_solve_json(tmp_path, capsys):
     assert obj["cover"] == [[[1, 2]], [[2, 3]]]
 
 
-def _run_module(*args):
-    """``python -m matchcover.cli`` in a child process, with the package
-    this test imports on its path."""
+def _module_env():
+    """The environment with the package this test imports on the path."""
     src = str(Path(matchcover.cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _run_module(*args):
+    """``python -m matchcover.cli`` in a child process."""
     return subprocess.run(
         [sys.executable, "-m", "matchcover.cli", *args],
-        capture_output=True, env=env, check=False,
+        capture_output=True, env=_module_env(), check=False,
     )
 
 
@@ -179,6 +185,28 @@ def test_cli_runs_as_a_module(tmp_path, capsys):
     assert bad.returncode == EXIT_USAGE
     assert bad.stdout == b""
     assert b"self-loop" in bad.stderr and b"Traceback" not in bad.stderr
+
+
+@pytest.mark.parametrize(
+    "flags", [["--json"], [], ["--trace"]], ids=["json", "text", "trace"]
+)
+def test_solve_reader_closing_early_exit_141(flags, tmp_path):
+    """A reader that closes the pipe after one byte: solve exits 141 with
+    nothing on stderr, whether the report or a trace line printed while
+    balancing runs meets the closed pipe.  Each output is several times a
+    pipe's buffer, so the writer always writes again after the close."""
+    assert EXIT_BROKEN_PIPE == 141
+    path = write(tmp_path, "greedyhard.g", serialize_graph(greedyhard(13)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "matchcover.cli", "solve", path, *flags],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env(),
+    )
+    assert len(proc.stdout.read(1)) == 1
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_BROKEN_PIPE
+    assert err == b""  # no traceback, no error line
 
 
 def test_solve_verify_flag(tmp_path, capsys):

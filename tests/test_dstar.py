@@ -25,6 +25,7 @@ from matchcover.oracle import OracleBudget
 
 from conftest import (
     complete_bipartite_graph,
+    greedyhard,
     pile_on_first_center,
     stall_transform,
     star_table,
@@ -514,24 +515,6 @@ def test_optimize_complete_bipartite_closed_form(k, big, transforms):
     if transforms is not None:
         assert count == transforms
     assert solve(g).cover.k == md
-
-
-
-def greedyhard(k):
-    """Tree on 4a - 1 vertices, a = 2^k machines 0..a-1: round r = 1..k has
-    a/2^r jobs, job i joining machines i and a/2^r + i, and each machine
-    has two pendant leaves.  The least-loaded seed, ties to the lowest id,
-    stacks k jobs on machine 0 (Azar, Naor and Rom 1995); mc = 3."""
-    a = 1 << k
-    edges, n = [], a
-    for r in range(1, k + 1):
-        for i in range(a >> r):
-            edges += [(i, n), ((a >> r) + i, n)]
-            n += 1
-    for machine in range(a):
-        edges += [(machine, n), (machine, n + 1)]
-        n += 2
-    return Graph.from_edges(n, edges)
 
 
 def test_optimize_scans_once_per_phase(monkeypatch):

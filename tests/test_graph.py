@@ -416,3 +416,45 @@ def test_edges_and_adjacency_are_ascending():
             assert all(u < v for u, v in g.edges)
             for nbrs in g.adjacency:
                 assert type(nbrs) is tuple and list(nbrs) == sorted(nbrs)
+
+
+def test_one_int_object_per_vertex():
+    """The bulk reader, the line reader and from_edges put one shared int
+    object per vertex in the adjacency lists: as many distinct objects as
+    distinct vertex values, on graphs past the small ints Python caches."""
+    rng = random.Random(17)
+    for seed in range(5):
+        n = rng.randrange(300, 600)
+        g0 = random_connected_graph(n, m=3 * n, seed=seed)
+        text = serialize_graph(g0)
+        bulk = _parse_canonical(text)
+        for g in (bulk, _lines_graph(text), Graph.from_edges(n, g0.edges)):
+            assert g == g0
+            entries = [v for nbrs in g.adjacency for v in nbrs]
+            assert len({id(v) for v in entries}) == len(set(entries)) == n
+
+
+def test_builder_rejects_what_falls_outside_1_to_n():
+    """_from_ends takes 1-indexed ends.  It gives None for an endpoint 0
+    (its entry goes with spare slot 0, the partner's entry keeps the value
+    -1), the edge (0, n + 1) (both entries go with the spare slots), an
+    endpoint n + 1, an endpoint n + 2 (IndexError), a self-loop and a
+    reversed duplicate edge; on the edges as given it equals from_edges."""
+    rng = random.Random(19)
+    for seed in range(30):
+        n = rng.randrange(3, 40)
+        m = rng.randrange(n - 1, min(2 * n, n * (n - 1) // 2 + 1))
+        g = random_connected_graph(n, m=m, seed=seed)
+        edges = list(g.edges)
+        rng.shuffle(edges)
+        ends = [x + 1 for e in edges for x in e]
+        assert Graph._from_ends(n, ends) == Graph.from_edges(n, edges) == g
+        i = 2 * rng.randrange(len(edges))
+        u, v = ends[i : i + 2]
+        for bad in ((0, v), (u, 0), (0, n + 1), (n + 1, 0), (u, n + 1), (n + 2, v),
+                    (u, n + 2), (u, u)):
+            assert Graph._from_ends(n, ends[:i] + list(bad) + ends[i + 2 :]) is None, bad
+        # edge u-v reversed in place of the next edge, and appended
+        j = (i + 2) % len(ends)
+        assert Graph._from_ends(n, ends[:j] + [v, u] + ends[j + 2 :]) is None
+        assert Graph._from_ends(n, ends + [v, u]) is None
