@@ -95,46 +95,44 @@ class _Search:
             parent[x], x = root, parent[x]
         return root
 
-    def _lowest_common_base(self, a, b):
-        # a and b lie in one tree, so b's walk meets a's by the root at latest
-        mate, p, mark, find = self.mate, self.p, self.mark, self.find
+    def _contract(self, v, to):
+        """Shrink the odd cycle that the edge v-to closes onto its base."""
+        mate, p, label, mark = self.mate, self.p, self.label, self.mark
+        # the lowest common base: v and to lie in one tree, so to's walk
+        # meets v's by the root at latest
         self.stamp += 1
         stamp = self.stamp
-        a = find(a)
+        b = self.find(v)
         while True:
-            mark[a] = stamp
-            if mate[a] == -1:
+            mark[b] = stamp
+            if mate[b] == -1:
                 break
-            a = find(p[mate[a]])
-        b = find(b)
+            b = self.find(p[mate[b]])
+        b = self.find(to)
         while mark[b] != stamp:
-            b = find(p[mate[b]])
-        return b
-
-    def _mark_side(self, v, b, child, merge):
-        # Walk the tree path from v up to the cycle base b, recording the
-        # alternate route around the cycle in p.  Union-find state must not
-        # change until both sides are walked, so bases are only collected.
-        mate, p, label = self.mate, self.p, self.label
-        while self.find(v) != b:
-            mv = mate[v]
-            merge.append(v)
-            merge.append(mv)
-            if label[mv] == _INNER:
-                label[mv] = _OUTER
-                self.queue.append(mv)
-            p[v] = child
-            child = mv
-            v = p[mv]
-
-    def _contract(self, v, to):
-        b = self._lowest_common_base(v, to)
-        merge: list[int] = []
-        self._mark_side(v, b, to, merge)
-        self._mark_side(to, b, v, merge)
+            b = self.find(p[mate[b]])
+        # Walk the tree path from each side up to b, recording the alternate
+        # route around the cycle in p.  Union-find state must not change
+        # until both sides are walked, so the bases to merge are only
+        # collected: each step's blossom base, and its mate, which is an
+        # inner vertex or lies in that blossom.
+        merge = []
+        for x, child in ((v, to), (to, v)):
+            bx = self.find(x)
+            while bx != b:
+                mx = mate[x]
+                merge.append(bx)
+                merge.append(mx)
+                if label[mx] == _INNER:
+                    label[mx] = _OUTER
+                    self.queue.append(mx)
+                p[x] = child
+                child = mx
+                x = p[mx]
+                bx = self.find(x)
         parent = self.parent
         for x in merge:
-            parent[self.find(x)] = b
+            parent[x] = b
 
     def _augment(self, v, to):
         """Flip the path root(v)..v-to..root(to) joining two trees."""
@@ -203,15 +201,16 @@ class _Search:
                 else:  # to is outer
                     rt = root[to]
                     if rt == rv:
-                        if mate[v] != to:
-                            bt = parent[to]
-                            if parent[bt] != bt:
-                                bt = find(to)
-                            if bv == -1:
-                                bv = find(v)
-                            if bv != bt:
-                                self._contract(v, to)
-                                bv = -1  # the contraction moved v's base
+                        # a matched pair of outer vertices lies in one
+                        # blossom, so the base test skips its edge
+                        bt = parent[to]
+                        if parent[bt] != bt:
+                            bt = find(to)
+                        if bv == -1:
+                            bv = find(v)
+                        if bv != bt:
+                            self._contract(v, to)
+                            bv = -1  # the contraction moved v's base
                     elif mate[rt] == -1:
                         self._augment(v, to)
                         augmented += 1
@@ -271,19 +270,18 @@ def _maximize(adj, mate):
     A greedy seed pass visits the exposed vertices in ascending degree (ties
     to the lower id) and pairs each with its exposed neighbour of least
     degree (again ties to the lower id), the min-degree heuristic of Karp
-    and Sipser (1981); only the exposed vertices are sorted.  Then phases,
-    as in Hopcroft and Karp (1973), each grow a forest from every
-    still-exposed vertex outside the kept trees, ascending, with one search
-    state for the whole pass.  Each phase's roots are the last phase's
-    roots that are still exposed and whose trees :meth:`_Search.reset` did
-    not keep.  The pass ends with the first phase that augments nothing, or
-    as soon as every exposed vertex, if any, lies in a kept tree.  The
-    returned search then holds the Hungarian forest: the kept trees, and
-    the forest of a last phase that augmented nothing.
+    and Sipser (1981); every vertex is sorted, and matched ones are skipped.
+    Then phases, as in Hopcroft and Karp (1973), each grow a forest from
+    every still-exposed vertex outside the kept trees, ascending, with one
+    search state for the whole pass.  Each phase's roots are the last
+    phase's roots that are still exposed and whose trees
+    :meth:`_Search.reset` did not keep.  The pass ends with the first phase
+    that augments nothing, or as soon as every exposed vertex, if any, lies
+    in a kept tree.  The returned search then holds the Hungarian forest:
+    the kept trees, and the forest of a last phase that augmented nothing.
     """
     deg = list(map(len, adj))
-    exposed = sorted((v for v, w in enumerate(mate) if w == -1), key=deg.__getitem__)
-    for u in exposed:
+    for u in sorted(range(len(adj)), key=deg.__getitem__):
         if mate[u] == -1:
             best, least = -1, len(adj)
             for v in adj[u]:
@@ -292,7 +290,7 @@ def _maximize(adj, mate):
             if best != -1:
                 mate[u] = best
                 mate[best] = u
-    roots = sorted(v for v in exposed if mate[v] == -1)
+    roots = [v for v, w in enumerate(mate) if w == -1]
     search = _Search(adj, mate)
     while roots and search.phase(roots):
         roots = search.reset(roots)

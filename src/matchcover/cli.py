@@ -1,4 +1,4 @@
-"""Command-line front end: solve, cross-check, generate, and benchmark.
+"""Command-line front end: solve, cross-check by brute force, generate graphs.
 
 Exit codes: 0 success, 1 oracle mismatch, 2 bad input or parameters, 3 no cover,
 4 internal error (any solver fault), 5 oracle budget exceeded, 141 broken pipe.
@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-import time
 
 from .cover import solve, verify_cover
 from .errors import InternalInvariantError, NoCoverError
@@ -157,31 +156,6 @@ def cmd_random(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    print("n,m,seconds,transforms")
-    for n in sizes:
-        m = 3 * n
-        try:
-            g = random_connected_graph(n, m=m, seed=args.seed + n)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        start = time.perf_counter()
-        try:
-            result = solve(g)
-        except Exception as exc:
-            # the generated graph is connected, so any failure is the solver's
-            return _internal_error(exc)
-        elapsed = time.perf_counter() - start
-        print(f"{n},{m},{elapsed:.3f},{result.transforms}")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matchcover",
@@ -214,11 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_random.add_argument("--seed", type=int, required=True)
     p_random.add_argument("--count", type=int, default=1)
     p_random.set_defaults(func=cmd_random)
-
-    p_bench = sub.add_parser("bench", help="timing table at m = 3n")
-    p_bench.add_argument("--sizes", required=True, help="comma-separated sizes")
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.set_defaults(func=cmd_bench)
 
     return parser
 

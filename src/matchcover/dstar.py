@@ -13,9 +13,11 @@ balance.  The loop below keeps one table and updates it in place, in
 phases: each phase searches once from every center of the maximum load
 and moves one unit of load from each center it can to the nearest
 center at least 2 lighter, until the maximum star size cannot be reduced.
-Nothing here re-checks what the pipeline built: ``decompose`` certifies M
-and A (Tutte-Berge), :func:`optimize` its transform bound and maximum star
-size, and ``solve`` the final cover.
+Nothing here re-checks what the pipeline built: ``decompose``'s Tutte-Berge
+check proves M maximum and A a tight barrier, not that A is the
+Gallai-Edmonds set (ROADMAP.md, "Self-certifying optimality");
+:func:`optimize` checks its transform bound and maximum star size, and
+``solve`` the final cover.
 """
 
 from __future__ import annotations

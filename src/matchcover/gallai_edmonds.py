@@ -49,10 +49,11 @@ def decompose(g: Graph) -> GallaiEdmonds:
     """
     n, adj = g.n, g.adjacency
     mate = [-1] * n
-    a = _maximize(adj, mate).inner()
+    search = _maximize(adj, mate)
     if -1 not in mate:
         e = frozenset()
         return GallaiEdmonds(e, e, frozenset(range(n)), tuple(mate), e)
+    a = search.inner()
     seen = [False] * n
     for v in a:
         seen[v] = True

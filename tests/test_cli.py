@@ -8,7 +8,7 @@ import pytest
 
 import matchcover.cli
 import matchcover.cover
-from matchcover import Graph, InternalInvariantError, serialize_graph
+from matchcover import Graph, serialize_graph
 from matchcover.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_INTERNAL,
@@ -374,53 +374,10 @@ def test_random_count_separators(capsys):
     assert out.count("c instance") == 2
 
 
-def test_bench_csv(capsys):
-    code = main(["bench", "--sizes", "40,80", "--seed", "0"])
-    out = capsys.readouterr().out.splitlines()
-    assert code == EXIT_OK
-    assert out[0] == "n,m,seconds,transforms"
-    assert len(out) == 3
-    for line, n in zip(out[1:], (40, 80)):
-        fields = line.split(",")
-        assert fields[0] == str(n) and fields[1] == str(3 * n)
-        assert int(fields[3]) <= n  # transform count within graph order
-
-
-def test_bench_empty(capsys):
-    code = main(["bench", "--sizes", "", "--seed", "0"])
-    out = capsys.readouterr().out.splitlines()
-    assert code == EXIT_OK
-    assert out == ["n,m,seconds,transforms"]
-
-
-@pytest.mark.parametrize("sizes", ["1", "x"])
-def test_bench_bad_sizes_exit_2(capsys, sizes):
-    code = main(["bench", "--sizes", sizes, "--seed", "0"])
+def test_bench_command_is_gone(capsys):
+    """Timing lives in solvebench alone: ``bench`` is an unknown command."""
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--sizes", "40"])
+    assert exc.value.code == EXIT_USAGE
     err = capsys.readouterr().err
-    assert code == EXIT_USAGE
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
-
-
-def test_bench_solver_failure_exit_4(capsys, monkeypatch):
-    """A solver failure during bench is an internal error, not a traceback."""
-
-    def broken_invariant(g):
-        raise InternalInvariantError("level-1 matching is not maximum")
-
-    def broken_value(g):
-        raise ValueError("switching path does not alternate")
-
-    cases = [
-        (broken_invariant, "internal error: level-1 matching is not maximum\n"),
-        (broken_value, "internal error: "),
-        (_lost_key, "internal error: KeyError: 7\n"),
-    ]
-    for broken, message in cases:
-        monkeypatch.setattr(matchcover.cli, "solve", broken)
-        code = main(["bench", "--sizes", "40", "--seed", "0"])
-        captured = capsys.readouterr()
-        assert code == EXIT_INTERNAL
-        assert captured.out == "n,m,seconds,transforms\n"
-        assert captured.err.startswith(message)
-        assert "Traceback" not in captured.err
+    assert "invalid choice" in err and "bench" in err
