@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from .errors import InternalInvariantError
 from .graph import Graph
 
 _UNLABELED = 0
@@ -96,7 +97,9 @@ class _Search:
         return root
 
     def _contract(self, v, to):
-        """Shrink the odd cycle that the edge v-to closes onto its base."""
+        """Shrink the odd cycle that the edge v-to closes onto its base.
+        As in :meth:`_augment`, a cycle walk of more than n / 2 steps (one
+        matched pair each) is a broken search state and raises."""
         mate, p, label, mark = self.mate, self.p, self.label, self.mark
         # the lowest common base: v and to lie in one tree, so to's walk
         # meets v's by the root at latest
@@ -117,9 +120,13 @@ class _Search:
         # collected: each step's blossom base, and its mate, which is an
         # inner vertex or lies in that blossom.
         merge = []
+        budget = len(mate) // 2
         for x, child in ((v, to), (to, v)):
             bx = self.find(x)
             while bx != b:
+                budget -= 1
+                if budget < 0:
+                    raise InternalInvariantError("blossom walk does not reach its base")
                 mx = mate[x]
                 merge.append(bx)
                 merge.append(mx)
@@ -135,13 +142,22 @@ class _Search:
             parent[x] = b
 
     def _augment(self, v, to):
-        """Flip the path root(v)..v-to..root(to) joining two trees."""
+        """Flip the path root(v)..v-to..root(to) joining two trees.
+
+        Each walk step rematches one matched pair of the path, which holds
+        fewer than n / 2; walks that take more never reach a root, a broken
+        search state raised as :class:`InternalInvariantError`.
+        """
         mate, p = self.mate, self.p
+        budget = len(mate) // 2
         for x in (v, to):
             # x, mate[x], p[mate[x]], ... is x's even alternating path to
             # its root, blossoms routed through p; rematch its pairs
             y = mate[x]
             while y != -1:
+                budget -= 1
+                if budget < 0:
+                    raise InternalInvariantError("augmenting path does not reach a root")
                 z = p[y]
                 nxt = mate[z]
                 mate[y] = z

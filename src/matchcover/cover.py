@@ -29,8 +29,9 @@ class SolveResult:
     """Cover plus the run facts the CLI reports."""
 
     cover: MatchingCover
-    # "perfect" | "factor_critical" | "gstar"; "factor_critical" means A = ∅:
-    # every component is factor-critical or perfectly matched
+    # a label read off (D, A), not a code path, since every graph runs the
+    # same pipeline: "perfect" (D = ∅), "factor_critical" (D ≠ ∅, A = ∅:
+    # every component is factor-critical or perfectly matched) or "gstar"
     branch: str
     md: int | None
     transforms: int
@@ -73,12 +74,12 @@ def solve(
 ) -> SolveResult:
     """Compute an optimal matching cover together with run statistics.
 
-    Every graph follows the theorem's two cases, connected or not: a perfect
-    matching is the whole cover, and every other graph is assembled from its
-    decomposition (A = ∅ being the factor-critical case).  The decomposition,
-    G* and the assembly are defined on any graph, so disconnected input is
-    solved whole.  Empty input and isolated vertices (a single vertex
-    included) admit no cover and raise :class:`NoCoverError`.
+    Every graph, connected or not, runs one pipeline: :func:`decompose`,
+    the seed star table of A over D*, its balancing, :func:`assemble` and
+    the final check.  Without A there are no stars (D* is empty too, as
+    isolated vertices are rejected first), so the table is empty and
+    balancing applies nothing.  Empty input and isolated vertices (a single
+    vertex included) admit no cover and raise :class:`NoCoverError`.
 
     The cover is checked once, at the end, with :func:`verify_cover`: a
     pair that is no edge of g, two pairs of one level sharing a vertex and
@@ -88,48 +89,27 @@ def solve(
         raise NoCoverError("empty graph has no matching cover")
     if not all(g.adjacency):
         raise NoCoverError.isolated(g.adjacency.index(()))
-    result = _solve_cases(g, trace)
-    if not verify_cover(g, result.cover):
-        raise InternalInvariantError("assembled cover is not a valid matching cover of G")
-    return result
-
-
-def _solve_cases(g, trace):
     ge = decompose(g)
-    if not ge.d:
-        return SolveResult(
-            cover=MatchingCover((_from_mate(ge.mate),)),
-            branch="perfect",
-            md=None,
-            transforms=0,
-            gstar_size=None,
-        )
-    if not ge.a:
-        # A = ∅: every part of g is factor-critical or perfectly matched by
-        # ge.mate, so there are no stars
-        return SolveResult(
-            cover=assemble(g, ge, {}),
-            branch="factor_critical",
-            md=None,
-            transforms=0,
-            gstar_size=None,
-        )
     stars = initial_cover(g.adjacency, ge.a, ge.d_star, ge.mate)
     transforms = optimize(g.adjacency, stars, trace)
+    cover = assemble(g, ge, stars)
+    if not verify_cover(g, cover):
+        raise InternalInvariantError("assembled cover is not a valid matching cover of G")
     return SolveResult(
-        cover=assemble(g, ge, stars),
-        branch="gstar",
-        md=max_load(stars),
+        cover=cover,
+        branch="gstar" if ge.a else "factor_critical" if ge.d else "perfect",
+        md=max_load(stars) if ge.a else None,
         transforms=transforms,
-        gstar_size=len(ge.a) + len(ge.d_star),
+        gstar_size=len(ge.a) + len(ge.d_star) if ge.a else None,
     )
 
 
 def assemble(g: Graph, ge: GallaiEdmonds, stars: dict[int, list[int]]) -> MatchingCover:
     """Turn the star table of D* (A-vertex -> ascending D*-vertices) into a cover of g.
 
-    D is nonempty, so g has no perfect matching and k = max(2, md), md being
-    the largest star size (0 without stars, as for a factor-critical g).
+    This is the one place that sets k: 1 when D is empty, as ``ge.mate``
+    is then perfect and level 1 alone covers g, and max(2, md) otherwise,
+    md being the largest star size (0 without stars, as when A is empty).
     Level 1 is ``ge.mate`` with each nonempty star's center matched to the
     star's first D*-vertex instead of its M-partner.  That keeps |M| edges
     with no blossom search: a star nonempty at seeding never empties (a
@@ -157,7 +137,8 @@ def assemble(g: Graph, ge: GallaiEdmonds, stars: dict[int, list[int]]) -> Matchi
     if len(m1) != size:
         raise InternalInvariantError("level-1 matching is not maximum")
 
-    rescue: list[tuple[int, int]] = []
+    k = max(2, max_load(stars)) if d_set else 1
+    levels: list[list[tuple[int, int]]] = [[] for _ in range(k - 1)]
     for w in d_set:
         if mate1[w] == -1 and w not in d_star:
             x = next((x for x in g.adjacency[w] if x in d_set), None)
@@ -165,10 +146,7 @@ def assemble(g: Graph, ge: GallaiEdmonds, stars: dict[int, list[int]]) -> Matchi
                 raise InternalInvariantError(
                     f"uncovered vertex {w} has no edge inside its D-component"
                 )
-            rescue.append((w, x))
-
-    k = max(2, max_load(stars))
-    levels = [rescue] + [[] for _ in range(k - 2)]
+            levels[0].append((w, x))
     for a, ds in stars.items():
         for level, d in zip(levels, ds[1:]):
             level.append((a, d))

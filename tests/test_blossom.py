@@ -1,8 +1,13 @@
+import inspect
 import random
+import textwrap
 
-from matchcover import Graph, brute_d_set, brute_nu, random_connected_graph
+import pytest
+
+from matchcover import Graph, InternalInvariantError, brute_d_set, brute_nu, random_connected_graph
 from matchcover.blossom import maximum_matching
-from matchcover import blossom, cover, gallai_edmonds
+from matchcover import blossom, cover, gallai_edmonds, serialize_graph
+from matchcover.cli import EXIT_INTERNAL, main
 from matchcover.cover import solve
 from matchcover.gallai_edmonds import decompose
 from matchcover.oracle import OracleBudget, is_factor_critical
@@ -429,3 +434,35 @@ def test_kept_trees_match_regrowing_every_tree(monkeypatch):
         want = decompose(g)
         assert (got.d, got.a, got.c, got.mate, got.d_star) == (
             want.d, want.a, want.c, want.mate, want.d_star)
+
+
+def contract_without_inner_merge():
+    """``_Search._contract`` with the line that merges each step's mate
+    into the blossom left out, so the inner vertices of a shrunk cycle keep
+    their own bases and later walks over ``p`` can cycle."""
+    source = textwrap.dedent(inspect.getsource(blossom._Search._contract))
+    assert source.count("merge.append(mx)") == 1
+    namespace = {}
+    exec(source.replace("merge.append(mx)", "pass"), vars(blossom), namespace)
+    return namespace["_contract"]
+
+
+def test_contraction_fault_raises_instead_of_looping(tmp_path, capsys, monkeypatch):
+    """A contraction that leaves the inner vertices out of the merge sends
+    the augmenting walk of this graph (random_connected_graph(8, p=0.2,
+    seed=802106)) round a cycle of ``p``; the walk's n / 2 budget turns
+    that into an internal error, and exit 4 from the CLI, not a hang."""
+    g = Graph.from_edges(
+        8,
+        [(0, 1), (0, 5), (1, 2), (1, 5), (1, 6), (2, 3), (2, 7), (4, 5), (4, 6), (6, 7)],
+    )
+    assert solve(g).branch == "perfect"
+    path = tmp_path / "g.txt"
+    path.write_text(serialize_graph(g) + "\n")
+    monkeypatch.setattr(blossom._Search, "_contract", contract_without_inner_merge())
+    with pytest.raises(InternalInvariantError, match="augmenting path does not reach a root"):
+        solve(g)
+    assert main(["solve", str(path)]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == (
+        "internal error: augmenting path does not reach a root\n"
+    )

@@ -313,17 +313,30 @@ def test_assemble_skips_an_idle_center():
     assert (res.branch, res.md, res.cover.k) == ("gstar", 3, 3)
 
 
+@pytest.mark.parametrize("g", [path_graph(4), path_graph(2)], ids=["p4", "k2"])
+def test_assemble_perfect_matching_is_one_level(g):
+    """With D empty, assemble sets k = 1: the cover is the perfect matching
+    alone, read off the mate list, with no empty rescue level."""
+    ge = decompose(g)
+    assert not ge.d
+    cover = matchcover.cover.assemble(g, ge, {})
+    assert cover.matchings == (blossom._from_mate(ge.mate),)
+
+
 @pytest.mark.parametrize(
     "g,branch",
     [
         (star_graph(3), "gstar"),
         (Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]), "gstar"),
+        (path_graph(4), "perfect"),
+        (Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)]), "factor_critical"),
     ],
-    ids=["star", "p3_plus_k2"],
+    ids=["star", "p3_plus_k2", "p4", "triangle_plus_k2"],
 )
 def test_final_check_catches_bad_part_cover(g, branch, monkeypatch):
     """One check at the end of solve rejects a cover that misses a vertex,
-    on a connected and on a disconnected graph alike."""
+    on a connected and on a disconnected graph alike, whatever (D, A) is:
+    every graph's cover comes from assemble."""
     assert solve(g).branch == branch
     real = matchcover.cover.assemble
 
