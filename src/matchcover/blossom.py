@@ -8,8 +8,11 @@ O(m) rather than O(n) per contraction.  A tree that ends a phase live with
 no edge from its outer vertices to another tree is Hungarian, and no later
 phase can reach it (Edmonds 1965), so it is kept as it is rather than grown
 again.  The pass ends with a phase that augments nothing, or once every
-exposed vertex lies in a kept tree.  The kept trees and the forest of a
-last phase that augments nothing make up a Hungarian forest, whose inner
+exposed vertex lies in a kept tree.  A phase with one root has no second
+live tree to meet, so it cannot augment and is the pass's last; it grows
+its tree with a leaner loop that tracks blossoms by base alone and records
+no augmenting route (Gabow 1976).  The kept trees and the forest of a last
+phase that augments nothing make up a Hungarian forest, whose inner
 vertices are the Gallai-Edmonds set A that
 :func:`~matchcover.gallai_edmonds.decompose` reads.  Adjacency lists are
 sorted and ties go to the lower id, so results are deterministic.
@@ -98,21 +101,29 @@ class _Search:
 
     def _contract(self, v, to):
         """Shrink the odd cycle that the edge v-to closes onto its base.
-        As in :meth:`_augment`, a cycle walk of more than n / 2 steps (one
-        matched pair each) is a broken search state and raises."""
+        As in :meth:`_augment`, the two walks to the lowest common base, and
+        then the two cycle walks, each take at most n / 2 steps (one matched
+        pair each); more is a broken search state and raises."""
         mate, p, label, mark = self.mate, self.p, self.label, self.mark
         # the lowest common base: v and to lie in one tree, so to's walk
         # meets v's by the root at latest
         self.stamp += 1
         stamp = self.stamp
+        budget = len(mate) // 2
         b = self.find(v)
         while True:
             mark[b] = stamp
             if mate[b] == -1:
                 break
+            budget -= 1
+            if budget < 0:
+                raise InternalInvariantError("blossom walk does not reach its base")
             b = self.find(p[mate[b]])
         b = self.find(to)
         while mark[b] != stamp:
+            budget -= 1
+            if budget < 0:
+                raise InternalInvariantError("blossom walk does not reach its base")
             b = self.find(p[mate[b]])
         # Walk the tree path from each side up to b, recording the alternate
         # route around the cycle in p.  Union-find state must not change
@@ -140,6 +151,80 @@ class _Search:
         parent = self.parent
         for x in merge:
             parent[x] = b
+
+    def _shrink(self, bv, bt):
+        """Shrink the odd cycle closed by an edge between the outer blossoms
+        with bases bv and bt of a one-root phase's tree, and return its base.
+
+        The two sides step up base by base in turn, a side at the root
+        waiting, until one reaches a base the other marked.  Each base below
+        that common base, and its mate, then points at it, and the mates
+        turn outer.  No ``p`` route is recorded, since no augmentation
+        follows.  Both sides together cross at most n / 2 matched pairs, so
+        a walk of more than n turns (a broken search state, or bases in two
+        trees) raises.
+        """
+        mate, p, mark, find = self.mate, self.p, self.mark, self.find
+        self.stamp += 1
+        stamp = self.stamp
+        mark[bv] = mark[bt] = stamp
+        x, y = bv, bt
+        budget = len(mate)
+        while True:
+            budget -= 1
+            if budget < 0:
+                raise InternalInvariantError("blossom walk does not reach its base")
+            if mate[x] != -1:
+                x = find(p[mate[x]])
+                if mark[x] == stamp:
+                    break
+                mark[x] = stamp
+            x, y = y, x
+        b = x
+        parent, label, queue = self.parent, self.label, self.queue
+        for x in (bv, bt):
+            while x != b:
+                m = mate[x]
+                parent[x] = parent[m] = b
+                label[m] = _OUTER
+                queue.append(m)
+                x = find(p[m])
+        return b
+
+    def _one_tree(self, r):
+        """The phase of :meth:`phase` with the one root r: grow r's tree
+        until it is Hungarian, and return 0."""
+        adj, mate, label, p, root = self.adj, self.mate, self.label, self.p, self.root
+        parent, find, queue, touched = self.parent, self.find, self.queue, self.touched
+        label[r] = _OUTER
+        root[r] = r
+        touched.append(r)
+        queue.append(r)
+        while queue:
+            v = queue.popleft()
+            bv = parent[v]
+            if parent[bv] != bv:
+                bv = find(v)
+            for to in adj[v]:
+                if parent[to] == bv:  # to lies in v's blossom
+                    continue
+                lt = label[to]
+                if lt == _UNLABELED:
+                    w = mate[to]
+                    p[to] = v
+                    label[to] = _INNER
+                    label[w] = _OUTER
+                    root[to] = root[w] = r
+                    touched.append(to)
+                    touched.append(w)
+                    queue.append(w)
+                elif lt == _OUTER:
+                    bt = parent[to]
+                    if parent[bt] != bt:
+                        bt = find(to)
+                    if bt != bv:
+                        bv = self._shrink(bv, bt)
+        return 0
 
     def _augment(self, v, to):
         """Flip the path root(v)..v-to..root(to) joining two trees.
@@ -178,7 +263,16 @@ class _Search:
         An early return taints every root.  A phase that augments nothing
         has grown, with the kept trees, a Hungarian forest (Edmonds 1965),
         and its labels stay in place until :meth:`reset`.
+
+        A phase with one root cannot augment: no other live tree is left,
+        and an outer vertex of a kept tree has no neighbour outside that
+        tree, so each outer vertex the tree reaches is its own.  It goes to
+        :meth:`_one_tree`, which tests no root, taint or dead tree, and
+        tracks blossoms by base alone (Gabow 1976); it always returns 0, so
+        it is the pass's last phase.
         """
+        if len(roots) == 1:
+            return self._one_tree(roots[0])
         mate, label, p, root = self.mate, self.label, self.p, self.root
         parent, find = self.parent, self.find
         queue, touched, tainted = self.queue, self.touched, self.tainted

@@ -436,33 +436,108 @@ def test_kept_trees_match_regrowing_every_tree(monkeypatch):
             want.d, want.a, want.c, want.mate, want.d_star)
 
 
-def contract_without_inner_merge():
-    """``_Search._contract`` with the line that merges each step's mate
-    into the blossom left out, so the inner vertices of a shrunk cycle keep
-    their own bases and later walks over ``p`` can cycle."""
-    source = textwrap.dedent(inspect.getsource(blossom._Search._contract))
-    assert source.count("merge.append(mx)") == 1
+def rebuilt(method, old, new):
+    """``method`` of ``blossom._Search`` rebuilt from its source with the
+    one occurrence of ``old`` replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(method))
+    assert source.count(old) == 1
     namespace = {}
-    exec(source.replace("merge.append(mx)", "pass"), vars(blossom), namespace)
-    return namespace["_contract"]
+    exec(source.replace(old, new), vars(blossom), namespace)
+    return namespace[method.__name__]
+
+
+class GeneralLoop(blossom._Search):
+    """The search whose one-root phases, too, run the multi-root loop."""
+
+    __slots__ = ()
+    phase = rebuilt(blossom._Search.phase, "len(roots) == 1", "False")
+
+
+def test_one_root_phase_matches_general_loop(monkeypatch):
+    """A phase with one root runs its own loop, which changes no output: on
+    the graphs of the kept-tree test, decompose returns the same D, A, C,
+    mate list and D*, and every phase has the same roots, augmentations and
+    vertices labelled, as a pass whose one-root phases run the multi-root
+    loop.  At least 400 of the 2000 graphs run a one-root phase."""
+    graphs = [random_graph(s) for s in range(2000)]
+    runs = []
+    for search in (blossom._Search, GeneralLoop):
+        monkeypatch.setattr(blossom, "_Search", search)
+        log = counting_phases(monkeypatch)
+        run = []
+        for g in graphs:
+            log.clear()
+            ge = decompose(g)
+            run.append((ge.d, ge.a, ge.c, ge.mate, ge.d_star, list(log)))
+        runs.append(run)
+    assert runs[0] == runs[1]
+    assert sum(any(roots == 1 for roots, _, _ in r[-1]) for r in runs[0]) >= 400
+
+
+def fault_graph():
+    """random_connected_graph(8, p=0.2, seed=802106): its first phase has
+    two roots and contracts a blossom before it augments."""
+    return Graph.from_edges(
+        8,
+        [(0, 1), (0, 5), (1, 2), (1, 5), (1, 6), (2, 3), (2, 7), (4, 5), (4, 6), (6, 7)],
+    )
+
+
+def assert_internal_error(g, message, tmp_path, capsys):
+    """``solve(g)`` raises :class:`InternalInvariantError` with ``message``,
+    and the CLI prints it as an internal error and exits 4."""
+    with pytest.raises(InternalInvariantError, match=message):
+        solve(g)
+    path = tmp_path / "g.txt"
+    path.write_text(serialize_graph(g) + "\n")
+    assert main(["solve", str(path)]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == f"internal error: {message}\n"
 
 
 def test_contraction_fault_raises_instead_of_looping(tmp_path, capsys, monkeypatch):
     """A contraction that leaves the inner vertices out of the merge sends
-    the augmenting walk of this graph (random_connected_graph(8, p=0.2,
-    seed=802106)) round a cycle of ``p``; the walk's n / 2 budget turns
-    that into an internal error, and exit 4 from the CLI, not a hang."""
-    g = Graph.from_edges(
-        8,
-        [(0, 1), (0, 5), (1, 2), (1, 5), (1, 6), (2, 3), (2, 7), (4, 5), (4, 6), (6, 7)],
-    )
+    the augmenting walk of this graph round a cycle of ``p``; the walk's
+    n / 2 budget turns that into an internal error, and exit 4 from the
+    CLI, not a hang."""
+    g = fault_graph()
     assert solve(g).branch == "perfect"
-    path = tmp_path / "g.txt"
-    path.write_text(serialize_graph(g) + "\n")
-    monkeypatch.setattr(blossom._Search, "_contract", contract_without_inner_merge())
-    with pytest.raises(InternalInvariantError, match="augmenting path does not reach a root"):
-        solve(g)
-    assert main(["solve", str(path)]) == EXIT_INTERNAL
-    assert capsys.readouterr().err == (
-        "internal error: augmenting path does not reach a root\n"
+    monkeypatch.setattr(
+        blossom._Search, "_contract",
+        rebuilt(blossom._Search._contract, "merge.append(mx)", "pass"),
     )
+    assert_internal_error(g, "augmenting path does not reach a root", tmp_path, capsys)
+
+
+def test_common_base_fault_raises_instead_of_looping(tmp_path, capsys, monkeypatch):
+    """A contraction whose first walk marks no base: the second walk never
+    meets a mark and steps on from its root through ``p[-1]``, for ever
+    without a budget.  The lowest-common-base walks share an n / 2 budget,
+    so it is an internal error, and exit 4."""
+    monkeypatch.setattr(
+        blossom._Search, "_contract",
+        rebuilt(blossom._Search._contract, "mark[b] = stamp", "pass"),
+    )
+    assert_internal_error(fault_graph(), "blossom walk does not reach its base", tmp_path, capsys)
+
+
+def test_one_root_shrink_fault_raises_instead_of_looping(tmp_path, capsys, monkeypatch):
+    """C5 0-1-2-3-4: the greedy seed pairs 0-1 and 2-3 and leaves 4 exposed,
+    so the first phase is a one-root phase, and the edge 1-2 closes its one
+    blossom.  Without the walks' marks both walks stop at the root 4, and
+    neither reaches a base the other marked; the walk budget makes that an
+    internal error, and exit 4, not a hang."""
+    g = cycle_graph(5)
+    log = counting_phases(monkeypatch)
+    shrunk = []
+    shrink = blossom._Search._shrink
+
+    def logged_shrink(self, bv, bt):
+        shrunk.append((bv, bt))
+        return shrink(self, bv, bt)
+
+    monkeypatch.setattr(blossom._Search, "_shrink", logged_shrink)
+    ge = decompose(g)
+    assert log == [(1, 0, 5)] and shrunk == [(1, 2)]
+    assert ge.a == set() and ge.d == set(range(5))
+    monkeypatch.setattr(blossom._Search, "_shrink", rebuilt(shrink, "mark[x] = stamp", "pass"))
+    assert_internal_error(g, "blossom walk does not reach its base", tmp_path, capsys)
