@@ -11,9 +11,10 @@ again.  The pass ends with a phase that augments nothing, or once every
 exposed vertex lies in a kept tree.  A phase with one root has no second
 live tree to meet, so it cannot augment and is the pass's last; it grows
 its tree with a leaner loop that tracks blossoms by base alone and records
-no augmenting route (Gabow 1976).  The kept trees and the forest of a last
-phase that augments nothing make up a Hungarian forest, whose inner
-vertices are the Gallai-Edmonds set A that
+no augmenting route (Gabow 1976).  Both loops find a contraction's base
+with one walk, which steps the cycle's two sides up in turn.  The kept
+trees and the forest of a last phase that augments nothing make up a
+Hungarian forest, whose inner vertices are the Gallai-Edmonds set A that
 :func:`~matchcover.gallai_edmonds.decompose` reads.  Adjacency lists are
 sorted and ties go to the lower id, so results are deterministic.
 """
@@ -67,9 +68,10 @@ class _Search:
     keeps go on ``kept`` and stay labelled for the rest of the pass.
     Blossom bases are merged in a union-find whose representative is forced
     to the blossom base, so base lookups stay near O(1) amortized.  ``root``
-    names each labelled vertex's tree; a tree is dead once its root is
-    matched, which only an augmentation does.  ``tainted`` holds the roots
-    of the phase's trees that met another tree.
+    names each labelled vertex's tree, and only multi-root phases write it;
+    a tree is dead once its root is matched, which only an augmentation
+    does.  ``tainted`` holds the roots of the phase's trees that met
+    another tree.
     """
 
     __slots__ = ("adj", "mate", "parent", "label", "p", "root", "queue",
@@ -99,32 +101,38 @@ class _Search:
             parent[x], x = root, parent[x]
         return root
 
-    def _contract(self, v, to):
-        """Shrink the odd cycle that the edge v-to closes onto its base.
-        As in :meth:`_augment`, the two walks to the lowest common base, and
-        then the two cycle walks, each take at most n / 2 steps (one matched
-        pair each); more is a broken search state and raises."""
-        mate, p, label, mark = self.mate, self.p, self.label, self.mark
-        # the lowest common base: v and to lie in one tree, so to's walk
-        # meets v's by the root at latest
+    def _common_base(self, x, y):
+        """The lowest common base of the outer blossoms with the distinct
+        bases x and y of one tree.
+
+        The two sides step up base by base in turn, a side at the root
+        waiting, until one reaches a base the other marked.  Both sides
+        together cross at most n / 2 matched pairs, so a walk of more than
+        n turns (a broken search state, or bases in two trees) raises.
+        """
+        mate, p, mark, find = self.mate, self.p, self.mark, self.find
         self.stamp += 1
         stamp = self.stamp
-        budget = len(mate) // 2
-        b = self.find(v)
+        mark[x] = mark[y] = stamp
+        budget = len(mate)
         while True:
-            mark[b] = stamp
-            if mate[b] == -1:
-                break
             budget -= 1
             if budget < 0:
                 raise InternalInvariantError("blossom walk does not reach its base")
-            b = self.find(p[mate[b]])
-        b = self.find(to)
-        while mark[b] != stamp:
-            budget -= 1
-            if budget < 0:
-                raise InternalInvariantError("blossom walk does not reach its base")
-            b = self.find(p[mate[b]])
+            if mate[x] != -1:
+                x = find(p[mate[x]])
+                if mark[x] == stamp:
+                    return x
+                mark[x] = stamp
+            x, y = y, x
+
+    def _contract(self, v, to, bv, bt):
+        """Shrink the odd cycle that the edge v-to closes, between the outer
+        blossoms with bases bv and bt, onto its base, and return that base.
+        As in :meth:`_augment`, the two cycle walks take at most n / 2 steps
+        (one matched pair each); more is a broken search state and raises."""
+        mate, p, label = self.mate, self.p, self.label
+        b = self._common_base(bv, bt)
         # Walk the tree path from each side up to b, recording the alternate
         # route around the cycle in p.  Union-find state must not change
         # until both sides are walked, so the bases to merge are only
@@ -132,8 +140,7 @@ class _Search:
         # inner vertex or lies in that blossom.
         merge = []
         budget = len(mate) // 2
-        for x, child in ((v, to), (to, v)):
-            bx = self.find(x)
+        for x, child, bx in ((v, to, bv), (to, v, bt)):
             while bx != b:
                 budget -= 1
                 if budget < 0:
@@ -151,53 +158,16 @@ class _Search:
         parent = self.parent
         for x in merge:
             parent[x] = b
-
-    def _shrink(self, bv, bt):
-        """Shrink the odd cycle closed by an edge between the outer blossoms
-        with bases bv and bt of a one-root phase's tree, and return its base.
-
-        The two sides step up base by base in turn, a side at the root
-        waiting, until one reaches a base the other marked.  Each base below
-        that common base, and its mate, then points at it, and the mates
-        turn outer.  No ``p`` route is recorded, since no augmentation
-        follows.  Both sides together cross at most n / 2 matched pairs, so
-        a walk of more than n turns (a broken search state, or bases in two
-        trees) raises.
-        """
-        mate, p, mark, find = self.mate, self.p, self.mark, self.find
-        self.stamp += 1
-        stamp = self.stamp
-        mark[bv] = mark[bt] = stamp
-        x, y = bv, bt
-        budget = len(mate)
-        while True:
-            budget -= 1
-            if budget < 0:
-                raise InternalInvariantError("blossom walk does not reach its base")
-            if mate[x] != -1:
-                x = find(p[mate[x]])
-                if mark[x] == stamp:
-                    break
-                mark[x] = stamp
-            x, y = y, x
-        b = x
-        parent, label, queue = self.parent, self.label, self.queue
-        for x in (bv, bt):
-            while x != b:
-                m = mate[x]
-                parent[x] = parent[m] = b
-                label[m] = _OUTER
-                queue.append(m)
-                x = find(p[m])
         return b
 
     def _one_tree(self, r):
         """The phase of :meth:`phase` with the one root r: grow r's tree
-        until it is Hungarian, and return 0."""
-        adj, mate, label, p, root = self.adj, self.mate, self.label, self.p, self.root
+        until it is Hungarian, and return 0.  A contraction merges each base
+        of the cycle, and its mate, into the common base and records no
+        ``p`` route, since no augmentation follows."""
+        adj, mate, label, p = self.adj, self.mate, self.label, self.p
         parent, find, queue, touched = self.parent, self.find, self.queue, self.touched
         label[r] = _OUTER
-        root[r] = r
         touched.append(r)
         queue.append(r)
         while queue:
@@ -214,7 +184,6 @@ class _Search:
                     p[to] = v
                     label[to] = _INNER
                     label[w] = _OUTER
-                    root[to] = root[w] = r
                     touched.append(to)
                     touched.append(w)
                     queue.append(w)
@@ -223,7 +192,15 @@ class _Search:
                     if parent[bt] != bt:
                         bt = find(to)
                     if bt != bv:
-                        bv = self._shrink(bv, bt)
+                        b = self._common_base(bv, bt)
+                        for x in (bv, bt):
+                            while x != b:
+                                m = mate[x]
+                                parent[x] = parent[m] = b
+                                label[m] = _OUTER
+                                queue.append(m)
+                                x = find(p[m])
+                        bv = b
         return 0
 
     def _augment(self, v, to):
@@ -267,9 +244,10 @@ class _Search:
         A phase with one root cannot augment: no other live tree is left,
         and an outer vertex of a kept tree has no neighbour outside that
         tree, so each outer vertex the tree reaches is its own.  It goes to
-        :meth:`_one_tree`, which tests no root, taint or dead tree, and
-        tracks blossoms by base alone (Gabow 1976); it always returns 0, so
-        it is the pass's last phase.
+        :meth:`_one_tree`, which tests no root, taint or dead tree, records
+        no ``p`` route, and tracks blossoms by base alone (Gabow 1976); it
+        always returns 0, so it is the pass's last phase.  Both loops find a
+        contraction's base with :meth:`_common_base`.
         """
         if len(roots) == 1:
             return self._one_tree(roots[0])
@@ -319,8 +297,7 @@ class _Search:
                         if bv == -1:
                             bv = find(v)
                         if bv != bt:
-                            self._contract(v, to)
-                            bv = -1  # the contraction moved v's base
+                            bv = self._contract(v, to, bv, bt)
                     elif mate[rt] == -1:
                         self._augment(v, to)
                         augmented += 1

@@ -509,35 +509,84 @@ def test_contraction_fault_raises_instead_of_looping(tmp_path, capsys, monkeypat
 
 
 def test_common_base_fault_raises_instead_of_looping(tmp_path, capsys, monkeypatch):
-    """A contraction whose first walk marks no base: the second walk never
-    meets a mark and steps on from its root through ``p[-1]``, for ever
-    without a budget.  The lowest-common-base walks share an n / 2 budget,
-    so it is an internal error, and exit 4."""
+    """A lowest-common-base walk that does not mark its two start bases: on
+    this graph the common base of both of the first phase's contractions
+    is one of their start bases, the root 1.  Unmarked, it is never seen
+    as met, and both sides wait at the root for ever without a budget.  The
+    pass runs no one-root phase, so the walk is reached through ``phase``
+    and ``_contract``; its n-turn budget makes the fault an internal error,
+    and exit 4."""
+    g = fault_graph()
+    log = counting_phases(monkeypatch)
+    decompose(g)
+    assert [roots for roots, _, _ in log] == [2]
     monkeypatch.setattr(
-        blossom._Search, "_contract",
-        rebuilt(blossom._Search._contract, "mark[b] = stamp", "pass"),
+        blossom._Search, "_common_base",
+        rebuilt(blossom._Search._common_base, "mark[x] = mark[y] = stamp", "pass"),
     )
-    assert_internal_error(fault_graph(), "blossom walk does not reach its base", tmp_path, capsys)
+    assert_internal_error(g, "blossom walk does not reach its base", tmp_path, capsys)
 
 
 def test_one_root_shrink_fault_raises_instead_of_looping(tmp_path, capsys, monkeypatch):
     """C5 0-1-2-3-4: the greedy seed pairs 0-1 and 2-3 and leaves 4 exposed,
     so the first phase is a one-root phase, and the edge 1-2 closes its one
-    blossom.  Without the walks' marks both walks stop at the root 4, and
-    neither reaches a base the other marked; the walk budget makes that an
-    internal error, and exit 4, not a hang."""
+    blossom.  Without the walk's in-loop marks both sides stop at the root
+    4, and neither reaches a base the other marked; the walk budget makes
+    that an internal error, and exit 4, not a hang."""
     g = cycle_graph(5)
     log = counting_phases(monkeypatch)
     shrunk = []
-    shrink = blossom._Search._shrink
+    common_base = blossom._Search._common_base
 
-    def logged_shrink(self, bv, bt):
+    def logged_common_base(self, bv, bt):
         shrunk.append((bv, bt))
-        return shrink(self, bv, bt)
+        return common_base(self, bv, bt)
 
-    monkeypatch.setattr(blossom._Search, "_shrink", logged_shrink)
+    monkeypatch.setattr(blossom._Search, "_common_base", logged_common_base)
     ge = decompose(g)
     assert log == [(1, 0, 5)] and shrunk == [(1, 2)]
     assert ge.a == set() and ge.d == set(range(5))
-    monkeypatch.setattr(blossom._Search, "_shrink", rebuilt(shrink, "mark[x] = stamp", "pass"))
+    monkeypatch.setattr(blossom._Search, "_common_base",
+                        rebuilt(common_base, "mark[x] = stamp", "pass"))
     assert_internal_error(g, "blossom walk does not reach its base", tmp_path, capsys)
+
+
+def triangle_below_path(pairs):
+    """An exposed root 0 and an alternating path of ``pairs`` matched pairs
+    0-1=2-3=4-...=u, u = 2 * pairs, then a matched pair u+1=u+2 joined to u
+    at both ends; beside it K_{1,2} on u+3..u+5 with u+3=u+4 matched.
+    Returns the graph and its seed matching, which leaves 0 and u+5
+    exposed."""
+    u = 2 * pairs
+    edges = [(i, i + 1) for i in range(u)] + [(u, u + 1), (u, u + 2), (u + 1, u + 2),
+                                              (u + 3, u + 4), (u + 3, u + 5)]
+    seed = [(i, i + 1) for i in range(1, u + 3, 2)] + [(u + 3, u + 4)]
+    return Graph.from_edges(u + 6, edges), seed
+
+
+def test_contraction_walk_is_bounded_by_its_cycle(monkeypatch):
+    """A two-root phase grows the path's tree down to u, whose scan of the
+    pair u+1=u+2 closes the triangle u, u+1, u+2.  The contraction's walks
+    take the same few ``find`` calls whether the path above the triangle
+    has 500 matched pairs or 1000: the common-base walk stops at u, where a
+    walk that marks one side up to the root would take one per pair."""
+    finds, contractions = [0], []
+
+    class Counting(blossom._Search):
+        __slots__ = ()
+
+        def find(self, x):
+            finds[0] += 1
+            return super().find(x)
+
+        def _contract(self, *args):
+            before = finds[0]
+            base = super()._contract(*args)
+            contractions.append(finds[0] - before)
+            return base
+
+    monkeypatch.setattr(blossom, "_Search", Counting)
+    for pairs in (500, 1000):
+        g, seed = triangle_below_path(pairs)
+        assert sorted(grow(g, seed).pairs) == sorted(seed)
+    assert len(contractions) == 2 and contractions[0] == contractions[1] <= 4
