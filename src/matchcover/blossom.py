@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import InternalInvariantError
 from .graph import Graph
@@ -47,12 +48,6 @@ class Matching:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-
-def _unchecked_matching(n: int, edges) -> Matching:
-    """The edges on n vertices as a matching, unchecked: each put as
-    (u, v) with u < v, and sorted."""
-    return Matching(n, tuple(sorted((u, v) if u < v else (v, u) for u, v in edges)))
 
 
 def _from_mate(mate) -> Matching:
@@ -357,18 +352,22 @@ def _maximize(adj, mate):
     A greedy seed pass visits the exposed vertices in ascending degree (ties
     to the lower id) and pairs each with its exposed neighbour of least
     degree (again ties to the lower id), the min-degree heuristic of Karp
-    and Sipser (1981); every vertex is sorted, and matched ones are skipped.
-    Then phases, as in Hopcroft and Karp (1973), each grow a forest from
-    every still-exposed vertex outside the kept trees, ascending, with one
-    search state for the whole pass.  Each phase's roots are the last
-    phase's roots that are still exposed and whose trees
-    :meth:`_Search.reset` did not keep.  The pass ends with the first phase
-    that augments nothing, or as soon as every exposed vertex, if any, lies
-    in a kept tree.  The returned search then holds the Hungarian forest:
-    the kept trees, and the forest of a last phase that augmented nothing.
+    and Sipser (1981); every vertex is bucketed by degree, in id order (the
+    same order as a sort), and matched ones are skipped.  Then phases, as
+    in Hopcroft and Karp (1973), each grow a forest from every
+    still-exposed vertex outside the kept trees, ascending, with one search
+    state for the whole pass.  Each phase's roots are the last phase's
+    roots that are still exposed and whose trees :meth:`_Search.reset` did
+    not keep.  The pass ends with the first phase that augments nothing, or
+    as soon as every exposed vertex, if any, lies in a kept tree.  The
+    returned search then holds the Hungarian forest: the kept trees, and
+    the forest of a last phase that augmented nothing.
     """
     deg = list(map(len, adj))
-    for u in sorted(range(len(adj)), key=deg.__getitem__):
+    buckets = [[] for _ in range(max(deg, default=0) + 1)]
+    for u, du in enumerate(deg):
+        buckets[du].append(u)
+    for u in chain.from_iterable(buckets):
         if mate[u] == -1:
             best, least = -1, len(adj)
             for v in adj[u]:

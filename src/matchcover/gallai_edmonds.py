@@ -42,9 +42,11 @@ def decompose(g: Graph) -> GallaiEdmonds:
     inner vertices are A (Lovász and Plummer, *Matching Theory*, ch. 3).
     One traversal of G - A reads the rest: its odd components are the
     D-components, the singletons among them D*, and its even components
-    make up C.  The traversal also certifies the matching without trusting
-    the search: by the Tutte-Berge formula it is maximum iff it leaves
-    exactly odd(G - A) - |A| vertices exposed.  Otherwise
+    make up C.  A vertex whose neighbours all lie in A is such a singleton:
+    it goes to D and D* at once, with no component list built.  The
+    traversal also certifies the matching without trusting the search: by
+    the Tutte-Berge formula it is maximum iff it leaves exactly
+    odd(G - A) - |A| vertices exposed.  Otherwise
     :class:`InternalInvariantError` is raised.
     """
     n, adj = g.n, g.adjacency
@@ -63,6 +65,12 @@ def decompose(g: Graph) -> GallaiEdmonds:
         if seen[s]:
             continue
         seen[s] = True
+        for w in adj[s]:
+            if not seen[w]:
+                break
+        else:  # every neighbour is in A: a singleton D-component, in D*
+            d_star.append(s)
+            continue
         comp = [s]
         for v in comp:  # grows while it is read: a breadth-first search
             for w in adj[v]:
@@ -72,10 +80,9 @@ def decompose(g: Graph) -> GallaiEdmonds:
         if len(comp) % 2:
             odd += 1
             d += comp
-            if len(comp) == 1:
-                d_star.append(s)
         else:
             c += comp
+    odd += len(d_star)
     exposed = mate.count(-1)
     if exposed != odd - len(a):
         raise InternalInvariantError(
@@ -83,5 +90,5 @@ def decompose(g: Graph) -> GallaiEdmonds:
             f" components in G - A, |A| = {len(a)}; the matching is not maximum"
         )
     return GallaiEdmonds(
-        frozenset(d), frozenset(a), frozenset(c), tuple(mate), frozenset(d_star)
+        frozenset(d + d_star), frozenset(a), frozenset(c), tuple(mate), frozenset(d_star)
     )

@@ -304,6 +304,44 @@ def test_degree_seed_matches_relabelled_path_without_search(monkeypatch):
         assert log == []
 
 
+def keyed_sort_seed(adj):
+    """The greedy seed's mate list with its visit order from a keyed sort:
+    ascending degree, ties to the lower id."""
+    deg = list(map(len, adj))
+    mate = [-1] * len(adj)
+    for u in sorted(range(len(adj)), key=deg.__getitem__):
+        if mate[u] == -1:
+            best, least = -1, len(adj)
+            for v in adj[u]:
+                if mate[v] == -1 and deg[v] < least:
+                    best, least = v, deg[v]
+            if best != -1:
+                mate[u] = best
+                mate[best] = u
+    return mate
+
+
+def test_seed_order_is_ascending_degree_then_id(monkeypatch):
+    """The degree buckets visit the vertices in the keyed sort's order: with
+    every phase stopped at once, the pass returns the seed alone, and it
+    equals the keyed-sort seed on random graphs with isolated vertices and
+    on the empty graph."""
+    assert maximum_matching(Graph(0, ())).pairs == ()
+    monkeypatch.setattr(blossom._Search, "phase", lambda self, roots: 0)
+    rng = random.Random(30)
+    graphs = [Graph(0, ())]
+    for _ in range(500):
+        n = rng.randint(1, 40)
+        p = rng.random() * 0.3
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        graphs.append(Graph.from_edges(n, edges))
+    assert any(not all(g.adjacency) for g in graphs[1:])
+    for g in graphs:
+        mate = [-1] * g.n
+        blossom._maximize(g.adjacency, mate)
+        assert mate == keyed_sort_seed(g.adjacency)
+
+
 def test_assembly_runs_no_blossom_phase(monkeypatch):
     """Odd n leaves an exposed vertex in every maximum matching, so these
     graphs take the derived-graph branch.  Level 1 is the first matching

@@ -17,6 +17,7 @@ from matchcover import (
     verify_cover,
 )
 from matchcover.blossom import maximum_matching
+from matchcover.dstar import initial_cover, optimize
 from matchcover.gallai_edmonds import decompose
 from matchcover.oracle import OracleBudget
 
@@ -25,6 +26,7 @@ from conftest import (
     complete_bipartite_graph,
     covered_by,
     cycle_graph,
+    greedyhard,
     path_graph,
     star_graph,
 )
@@ -321,6 +323,89 @@ def test_assemble_perfect_matching_is_one_level(g):
     assert not ge.d
     cover = matchcover.cover.assemble(g, ge, {})
     assert cover.matchings == (blossom._from_mate(ge.mate),)
+
+
+def per_star_assembly(g, ge, stars):
+    """The cover as assembly built it star by star: level 1 from a list of
+    first edges, each star's later edges zipped onto per-level lists, and
+    each level oriented and sorted at the end."""
+    mate1 = list(ge.mate)
+    firsts = [(a, ds[0]) for a, ds in stars.items() if ds]
+    for a, _ in firsts:
+        if mate1[a] != -1:
+            mate1[mate1[a]] = -1
+    for a, d in firsts:
+        mate1[a], mate1[d] = d, a
+    k = max(2, max(map(len, stars.values()), default=0)) if ge.d else 1
+    levels = [[] for _ in range(k - 1)]
+    for w in ge.d:
+        if mate1[w] == -1 and w not in ge.d_star:
+            levels[0].append((w, next(x for x in g.adjacency[w] if x in ge.d)))
+    for a, ds in stars.items():
+        for level, d in zip(levels, ds[1:]):
+            level.append((a, d))
+    return MatchingCover(
+        (blossom._from_mate(mate1),)
+        + tuple(
+            Matching(g.n, tuple(sorted((u, v) if u < v else (v, u) for u, v in level)))
+            for level in levels
+        )
+    )
+
+
+def balanced_stars(g):
+    ge = decompose(g)
+    stars = initial_cover(g.adjacency, ge.a, ge.d_star, ge.mate)
+    optimize(g.adjacency, stars, None)
+    return ge, stars
+
+
+def test_assemble_matches_per_star_reference():
+    """Levels built over the stars still long enough, each pair made once,
+    give the cover that the star-by-star assembly gives, on sparse graphs
+    of the benchmark's tree type (m = n + n // 100), on greedyhard(10), and
+    on small denser graphs, whose odd cycles leave the rescue edges that the
+    sparse ones almost never need."""
+    rng = random.Random(5)
+    graphs = [
+        random_connected_graph(n, m=n + n // 100, seed=s)
+        for s, n in enumerate(rng.randrange(50, 401) for _ in range(200))
+    ]
+    graphs += [greedyhard(10)]
+    graphs += [random_connected_graph(12, p=0.25, seed=s) for s in range(200)]
+    for g in graphs:
+        ge, stars = balanced_stars(g)
+        assert matchcover.cover.assemble(g, ge, stars) == per_star_assembly(g, ge, stars)
+
+
+def test_assemble_level_building_is_linear():
+    """K_{1,2000} beside 1000 disjoint P3: md = 2000, so there are 1999
+    levels above the first, and 1000 of the 1001 stars end at level 2.
+    Assembly reads the stars O(|A| + |D*|) times in all; a scan of every
+    star on every level would read them about 2000 * 1001 times."""
+    reads = [0]
+
+    class CountingStar(list):
+        def __len__(self):
+            reads[0] += 1
+            return super().__len__()
+
+        def __getitem__(self, i):
+            reads[0] += 1
+            return super().__getitem__(i)
+
+    g = Graph.from_edges(
+        5001,
+        [(0, d) for d in range(1, 2001)]
+        + [e for s in range(2001, 5001, 3) for e in ((s, s + 1), (s + 1, s + 2))],
+    )
+    ge, stars = balanced_stars(g)
+    assert (len(ge.a), len(ge.d_star), max(map(len, stars.values()))) == (1001, 4000, 2000)
+    counted = {a: CountingStar(ds) for a, ds in stars.items()}
+    cover = matchcover.cover.assemble(g, ge, counted)
+    assert reads[0] <= 5 * (len(ge.a) + len(ge.d_star))
+    assert cover.k == 2000
+    assert verify_cover(g, cover)
 
 
 @pytest.mark.parametrize(

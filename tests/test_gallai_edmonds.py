@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from matchcover import (
@@ -207,3 +209,58 @@ def test_dstar_neighbours_lie_in_a():
             assert set(g.adjacency[d]) <= ge.a
         checked += 1
     assert checked >= 20
+
+
+def component_traversal(g, a):
+    """(D, C, D*) read off G - A with a component list for every
+    component: odd ones go to D, even ones to C, one-vertex ones to D*."""
+    seen = [v in a for v in range(g.n)]
+    d, c, d_star = set(), set(), set()
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        comp = [s]
+        for v in comp:
+            for w in g.adjacency[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+        (d if len(comp) % 2 else c).update(comp)
+        if len(comp) == 1:
+            d_star.add(s)
+    return d, c, d_star
+
+
+def pendant_stars(rng):
+    """A path of centers, each with 0 to 4 pendant leaves, ids shuffled."""
+    spine = rng.randint(1, 12)
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    n = spine
+    for center in range(spine):
+        for _ in range(rng.randint(0, 4)):
+            edges.append((center, n))
+            n += 1
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_singleton_d_components():
+    """A vertex whose neighbours all lie in A is read as a singleton
+    D-component without a component list; D* stays the D-vertices with no
+    neighbour in D, and (D, C) stay what a list per component gives, on
+    graphs of the benchmark's tree type and on pendant stars."""
+    rng = random.Random(29)
+    graphs = [
+        random_connected_graph(n, m=n + n // 100, seed=s)
+        for s, n in enumerate(rng.randrange(50, 401) for _ in range(100))
+    ]
+    graphs += [pendant_stars(rng) for _ in range(100)] + [star_graph(5)]
+    singletons = 0
+    for g in graphs:
+        ge = decompose(g)
+        assert ge.d_star == {v for v in ge.d if not ge.d & set(g.adjacency[v])}
+        assert (ge.d, ge.c, ge.d_star) == component_traversal(g, ge.a)
+        singletons += len(ge.d_star)
+    assert singletons > 10000
