@@ -10,7 +10,7 @@ from .blossom import Matching, _from_mate
 from .dstar import SwitchingPath, initial_cover, max_load, optimize
 from .errors import InternalInvariantError, NoCoverError
 from .gallai_edmonds import GallaiEdmonds, decompose
-from .graph import Graph
+from .graph import Graph, _gc_paused
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,7 @@ def verify_cover(g: Graph, mc: MatchingCover) -> bool:
     return all(level_of)
 
 
+@_gc_paused
 def solve(
     g: Graph, trace: Callable[[SwitchingPath, int], None] | None = None
 ) -> SolveResult:
@@ -83,7 +84,8 @@ def solve(
 
     The cover is checked once, at the end, with :func:`verify_cover`: a
     pair that is no edge of g, two pairs of one level sharing a vertex and
-    an uncovered vertex all show up there.
+    an uncovered vertex all show up there.  Automatic garbage collection is
+    paused for the call, ``trace`` included (see ``graph._gc_paused``).
     """
     if g.n == 0:
         raise NoCoverError("empty graph has no matching cover")

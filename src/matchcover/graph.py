@@ -2,10 +2,38 @@
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import re
 from dataclasses import dataclass
 from typing import Iterable
+
+
+def _gc_paused(fn):
+    """Run ``fn`` with automatic garbage collection paused, if it is on.
+
+    The builder and the solver allocate O(n + m) containers and make no
+    reference cycle, so collections inside them find nothing to free.  On
+    exit the one young-generation collection the allocations made due is
+    run, as the allocator would run it, so the debt is not left to the
+    caller's next allocation; then collection is resumed.  A call made
+    while collection is off, a nested call included, changes nothing.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if 0 < gc.get_threshold()[0] < gc.get_count()[0]:
+                gc.collect(0)
+            gc.enable()
+
+    return paused
 
 
 class GraphFormatError(ValueError):
@@ -52,6 +80,7 @@ class Graph:
         return cls._from_ends(n, ends)
 
     @classmethod
+    @_gc_paused
     def _from_ends(cls, n: int, ends: list[int]) -> "Graph | None":
         """The graph with 1-indexed edges ends[0]-ends[1], ends[2]-ends[3],
         ...; None when an end is outside 1..n, an edge is a self-loop or two
