@@ -3,8 +3,8 @@
 Computes the matching cover number mc(G) together with an explicit optimal
 family of matchings covering V(G), built on blossom maximum matching, the
 Gallai-Edmonds decomposition, and star-cover balancing on the derived
-bipartite graph.  A brute-force oracle provides independent ground truth on
-small instances.
+bipartite graph.  A brute-force cover number, :func:`brute_mc`, provides
+independent ground truth on small instances.
 """
 
 from .blossom import Matching
@@ -19,14 +19,7 @@ from .graph import (
     parse_graph,
     serialize_graph,
 )
-from .oracle import (
-    OracleBudget,
-    OracleBudgetError,
-    brute_d_set,
-    brute_mc,
-    brute_md,
-    brute_nu,
-)
+from .oracle import OracleBudget, OracleBudgetError, brute_mc
 
 __version__ = "0.1.0"
 
@@ -40,10 +33,7 @@ __all__ = [
     "OracleBudget",
     "OracleBudgetError",
     "SolveResult",
-    "brute_d_set",
     "brute_mc",
-    "brute_md",
-    "brute_nu",
     "components",
     "induced_subgraph",
     "parse_graph",

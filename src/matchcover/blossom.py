@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .errors import InternalInvariantError
-from .graph import Graph
 
 _UNLABELED = 0
 _OUTER = 1
@@ -346,8 +345,8 @@ def _maximize(adj, mate):
     ``mate`` is the engine's mate list (-1 for an exposed vertex), grown in
     place: the seed only pairs two exposed vertices, and an augmentation
     never uncovers a vertex.  :func:`~matchcover.gallai_edmonds.decompose`
-    and :func:`maximum_matching` pass an all-exposed list; only tests seed
-    a partial matching of the graph ``adj``.
+    passes an all-exposed list; only tests seed a partial matching of the
+    graph ``adj``.
 
     A greedy seed pass visits the exposed vertices in ascending degree (ties
     to the lower id) and pairs each with its exposed neighbour of least
@@ -381,11 +380,4 @@ def _maximize(adj, mate):
     while roots and search.phase(roots):
         roots = search.reset(roots)
     return search
-
-
-def maximum_matching(g: Graph) -> Matching:
-    """A maximum-cardinality matching, computed deterministically."""
-    mate = [-1] * g.n
-    _maximize(g.adjacency, mate)
-    return _from_mate(mate)
 

@@ -13,11 +13,11 @@ from typing import Iterable
 def _gc_paused(fn):
     """Run ``fn`` with automatic garbage collection paused, if it is on.
 
-    The builder and the solver allocate O(n + m) containers and make no
-    reference cycle, so collections inside them find nothing to free.  On
-    exit the one young-generation collection the allocations made due is
-    run, as the allocator would run it, so the debt is not left to the
-    caller's next allocation; then collection is resumed.  A call made
+    The readers, the builder and the solver allocate O(n + m) containers
+    and make no reference cycle, so collections inside them find nothing to
+    free.  On exit the one young-generation collection the allocations made
+    due is run, as the allocator would run it, so the debt is not left to
+    the caller's next allocation; then collection is resumed.  A call made
     while collection is off, a nested call included, changes nothing.
     """
 
@@ -62,6 +62,7 @@ class Graph:
     adjacency: tuple[tuple[int, ...], ...]
 
     @classmethod
+    @_gc_paused
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
@@ -124,6 +125,7 @@ _HEADER = re.compile(r"p ([0-9]+) ([0-9]+)(?:\n|\Z)")
 _NOT_EDGE = re.compile(r"\n(?!e [0-9]+ [0-9]+(?:\n|\Z))")
 
 
+@_gc_paused
 def parse_graph(text: str) -> Graph:
     """Parse the `p <n> <m>` / `e <u> <v>` edge-list format (1-indexed).
 
@@ -165,6 +167,7 @@ def _parse_canonical(text: str) -> Graph | None:
     return Graph._from_ends(n, ends)
 
 
+@_gc_paused
 def _parse_lines(text: str) -> tuple[int, list[int]]:
     """Line-by-line reader for every accepted layout; names the bad line.
     Gives n and the checked 1-indexed ends, two per edge, in line order."""

@@ -14,19 +14,24 @@ import pytest
 from matchcover import (
     Graph,
     Matching,
-    brute_d_set,
     brute_mc,
-    brute_md,
     components,
     induced_subgraph,
     random_connected_graph,
     solve,
     verify_cover,
 )
-from matchcover.blossom import maximum_matching
 from matchcover.gallai_edmonds import decompose
 from matchcover.cli import main
-from matchcover.oracle import OracleBudget, is_factor_critical, verify_decomposition
+from matchcover.oracle import OracleBudget
+
+from reference import (
+    brute_d_set,
+    brute_md,
+    is_factor_critical,
+    maximum_matching,
+    verify_decomposition,
+)
 
 BUDGET = OracleBudget(max_vertices=12, max_edges=66)
 

@@ -4,13 +4,12 @@ import textwrap
 
 import pytest
 
-from matchcover import Graph, InternalInvariantError, brute_d_set, brute_nu, random_connected_graph
-from matchcover.blossom import maximum_matching
+from matchcover import Graph, InternalInvariantError, random_connected_graph
 from matchcover import blossom, cover, gallai_edmonds, serialize_graph
 from matchcover.cli import EXIT_INTERNAL, main
 from matchcover.cover import solve
 from matchcover.gallai_edmonds import decompose
-from matchcover.oracle import OracleBudget, is_factor_critical
+from matchcover.oracle import OracleBudget
 
 from conftest import (
     complete_graph,
@@ -22,6 +21,7 @@ from conftest import (
     petersen_graph,
     star_graph,
 )
+from reference import brute_d_set, brute_nu, is_factor_critical, maximum_matching
 
 BUDGET = OracleBudget(max_vertices=12, max_edges=66)
 

@@ -1,10 +1,10 @@
-"""Automatic garbage collection paused inside the graph builder and solve.
+"""Automatic garbage collection paused inside the graph readers and solve.
 
-The builder (``Graph._from_ends``, behind ``parse_graph`` and
-``Graph.from_edges``) and ``solve`` run with the cyclic collector paused and
+``parse_graph`` (either reader and the builder ``Graph._from_ends``),
+``Graph.from_edges`` and ``solve`` run with the cyclic collector paused and
 run the one young-generation collection their allocations made due before
 returning; these tests pin that down, and the premise that makes it safe:
-neither leaves cyclic garbage behind.
+none of them leaves cyclic garbage behind.
 """
 
 import gc
@@ -80,9 +80,15 @@ GRAPHS = {
 def test_no_collection_inside_and_no_debt_left(collector, name):
     g = GRAPHS[name]()
     text = serialize_graph(g)
-    for call, arg in ((parse_graph, text), (solve, g)):
+    crlf = text.replace("\n", "\r\n")  # read line by line
+    for call, *args in (
+        (parse_graph, text),
+        (parse_graph, crlf),
+        (Graph.from_edges, g.n, g.edges),
+        (solve, g),
+    ):
         gc.collect()  # every generation's count back to 0
-        generations = collections_during(call, arg)
+        generations = collections_during(call, *args)
         assert generations in ([], [0]), call.__name__
         assert gc.get_count()[0] <= gc.get_threshold()[0], call.__name__
 

@@ -16,7 +16,6 @@ from matchcover import (
     solve,
     verify_cover,
 )
-from matchcover.blossom import maximum_matching
 from matchcover.dstar import initial_cover, optimize
 from matchcover.gallai_edmonds import decompose
 from matchcover.oracle import OracleBudget
@@ -30,6 +29,7 @@ from conftest import (
     path_graph,
     star_graph,
 )
+from reference import maximum_matching
 
 BUDGET = OracleBudget(max_vertices=12, max_edges=66)
 

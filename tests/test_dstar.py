@@ -6,7 +6,6 @@ import pytest
 from matchcover import (
     Graph,
     InternalInvariantError,
-    brute_md,
     random_connected_graph,
     solve,
     verify_cover,
@@ -30,6 +29,7 @@ from conftest import (
     stall_transform,
     star_table,
 )
+from reference import brute_md
 
 BUDGET = OracleBudget(max_vertices=12, max_edges=66)
 

@@ -5,15 +5,13 @@ import pytest
 from matchcover import (
     Graph,
     InternalInvariantError,
-    brute_d_set,
-    brute_nu,
     components,
     induced_subgraph,
     random_connected_graph,
     solve,
 )
 from matchcover.gallai_edmonds import GallaiEdmonds, decompose
-from matchcover.oracle import OracleBudget, is_factor_critical, verify_decomposition
+from matchcover.oracle import OracleBudget
 
 from conftest import (
     complete_graph,
@@ -24,6 +22,7 @@ from conftest import (
     star_graph,
     unmatch_one_pair,
 )
+from reference import brute_d_set, brute_nu, is_factor_critical, verify_decomposition
 
 BUDGET = OracleBudget(max_vertices=12, max_edges=66)
 

@@ -13,9 +13,9 @@ from matchcover import (
 )
 from matchcover import generate
 from matchcover.graph import _parse_canonical, _parse_lines
-from matchcover.oracle import neighbor_set
 
 from conftest import cycle_graph, path_graph
+from reference import neighbor_set
 
 
 def test_parse_k2():

@@ -1,9 +1,11 @@
 """Every name a matchcover module imports is used there or re-exported,
-and every public definition is used in the package or exported.
+every public definition is used in the package or exported, and every
+exported name is used in the package or by the benchmark.
 
 A dead import outlives the code that needed it, and a public member that
-only tests read is API nobody calls; these checks read each module's syntax
-tree (stdlib ast only) so deletions leave neither behind.
+only tests read is API nobody calls; these checks read each module's and
+the benchmark's syntax trees (stdlib ast only) so deletions leave neither
+behind.
 """
 
 import ast
@@ -11,17 +13,14 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "matchcover"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "matchcover"
 MODULES = sorted(PACKAGE.glob("*.py"))
+BENCHMARK = sorted((ROOT / "solvebench").rglob("*.py"))
 
-# Public definitions that nothing in src/ calls, on purpose: the oracle's
-# reference checks, called by tests, and the console-script entry point
-# named in pyproject.toml.
-UNREFERENCED_OK = {
-    "oracle.verify_decomposition",
-    "oracle.is_factor_critical",
-    "cli.run",
-}
+# Public definitions that nothing in src/ calls, on purpose: the
+# console-script entry point named in pyproject.toml.
+UNREFERENCED_OK = {"cli.run"}
 
 
 def imported_names(tree):
@@ -146,3 +145,31 @@ def test_every_public_definition_is_referenced_or_exported():
         if not used(name, kind, cls) and qualified not in UNREFERENCED_OK
     ]
     assert not unused, f"public but unused in src/ and not exported: {unused}"
+
+
+def test_every_export_has_a_caller():
+    """An exported name is read in a package module other than
+    ``__init__``, or imported from ``matchcover`` by the benchmark; one
+    that only tests read belongs with them."""
+    trees = {
+        p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+        for p in MODULES
+    }
+    read = set()
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    benchmark = {
+        alias.name
+        for path in BENCHMARK
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module == "matchcover"
+        for alias in node.names
+    }
+    uncalled = sorted(exported_names(trees["__init__"]) - read - benchmark)
+    assert not uncalled, f"exported but read neither in src/ nor by solvebench/: {uncalled}"
