@@ -120,10 +120,8 @@ def cmd_oracle(args) -> int:
     g, code = _load_graph(args.file)
     if g is None:
         return code
-    n = args.max_n
-    budget = OracleBudget(max_vertices=n, max_edges=n * (n - 1) // 2)
     try:
-        expected = brute_mc(g, budget)
+        expected = brute_mc(g, OracleBudget(max_vertices=12, max_edges=66))
     except OracleBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -141,18 +139,12 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_random(args) -> int:
-    if args.count < 1:
-        print(f"error: --count must be at least 1, got {args.count}", file=sys.stderr)
-        return EXIT_USAGE
     try:
-        for i in range(args.count):
-            g = random_connected_graph(args.n, p=args.p, m=args.m, seed=args.seed + i)
-            if args.count > 1:
-                print(f"c instance {i}")
-            print(serialize_graph(g))
+        g = random_connected_graph(args.n, p=args.p, m=args.m, seed=args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    print(serialize_graph(g))
     return EXIT_OK
 
 
@@ -175,18 +167,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.set_defaults(func=cmd_solve)
 
-    p_oracle = sub.add_parser("oracle", help="cross-check against brute force")
+    p_oracle = sub.add_parser("oracle", help="brute-force cross-check, n <= 12, m <= 66")
     p_oracle.add_argument("file")
-    p_oracle.add_argument("--max-n", type=int, default=12)
     p_oracle.set_defaults(func=cmd_oracle)
 
-    p_random = sub.add_parser("random", help="generate random connected graphs")
+    p_random = sub.add_parser("random", help="generate a random connected graph")
     p_random.add_argument("--n", type=int, required=True)
     kind = p_random.add_mutually_exclusive_group(required=True)
     kind.add_argument("--p", type=float)
     kind.add_argument("--m", type=int)
     p_random.add_argument("--seed", type=int, required=True)
-    p_random.add_argument("--count", type=int, default=1)
     p_random.set_defaults(func=cmd_random)
 
     return parser

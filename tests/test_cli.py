@@ -358,20 +358,27 @@ def test_random_no_connected_sample_exit_2(capsys):
     )
 
 
-@pytest.mark.parametrize("count", ["0", "-1"])
-def test_random_bad_count_exit_2(capsys, count):
-    code = main(["random", "--n", "5", "--m", "6", "--seed", "3", "--count", count])
-    captured = capsys.readouterr()
-    assert code == EXIT_USAGE
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
+def test_random_count_option_is_gone(capsys):
+    """``random`` prints one graph per call: ``--count`` is an unknown option."""
+    with pytest.raises(SystemExit) as exc:
+        main(["random", "--n", "5", "--m", "6", "--seed", "3", "--count", "2"])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "--count" in err
 
 
-def test_random_count_separators(capsys):
-    code = main(["random", "--n", "5", "--m", "6", "--seed", "3", "--count", "2"])
-    out = capsys.readouterr().out
-    assert code == EXIT_OK
-    assert out.count("c instance") == 2
+def test_oracle_max_n_option_is_gone(tmp_path, capsys):
+    """The oracle's budget is fixed at n <= 12 and m <= 66: ``--max-n`` is
+    an unknown option, not a way into a brute force whose recursion ends
+    in a traceback under the mismatch code 1 (1000 disjoint edges did)."""
+    text = "p 2000 1000\n" + "".join(f"e {2 * i + 1} {2 * i + 2}\n" for i in range(1000))
+    f = write(tmp_path, "matching.g", text)
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", f, "--max-n", "2000"])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "--max-n" in err
+    assert main(["oracle", f]) == 5
 
 
 def test_bench_command_is_gone(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -58,6 +59,22 @@ def test_decompose_c3():
     assert ge.a == frozenset()
     assert ge.c == frozenset()
     assert ge.d_star == frozenset()
+
+
+def test_c_is_derived_not_stored():
+    """GallaiEdmonds stores D, A, the mate list and D*; C is read as
+    V - D - A, and cannot be set (C = V on a perfect matching: see
+    test_perfect_matching_leaves_c_alone)."""
+    fields = [f.name for f in dataclasses.fields(GallaiEdmonds)]
+    assert fields == ["d", "a", "mate", "d_star"]
+    graphs = [
+        random_connected_graph(n, p=0.3, seed=s) for n in (7, 10, 13) for s in range(10)
+    ]
+    for g in graphs + [star_graph(3), petersen_graph()]:
+        ge = decompose(g)
+        assert ge.c == frozenset(range(g.n)) - ge.d - ge.a
+    with pytest.raises(AttributeError):
+        ge.c = frozenset()
 
 
 def test_decompose_rejects_random_non_maximum(monkeypatch):
@@ -135,7 +152,7 @@ def test_verify_p3_true_and_swapped_false():
     ge = decompose(g)
     assert verify_decomposition(g, ge)
     swapped = GallaiEdmonds(
-        d=ge.a, a=ge.d, c=ge.c,
+        d=ge.a, a=ge.d,
         mate=ge.mate,
         d_star=ge.d_star,
     )
