@@ -65,11 +65,11 @@ class _Search:
     names each labelled vertex's tree, and only multi-root phases write it;
     a tree is dead once its root is matched, which only an augmentation
     does.  ``tainted`` holds the roots of the phase's trees that met
-    another tree.
+    another tree, and ``exposed`` those of the kept trees.
     """
 
     __slots__ = ("adj", "mate", "parent", "label", "p", "root", "queue",
-                 "touched", "kept", "tainted", "mark", "stamp")
+                 "touched", "kept", "exposed", "tainted", "mark", "stamp")
 
     def __init__(self, adj, mate):
         n = len(adj)
@@ -82,6 +82,7 @@ class _Search:
         self.queue = deque()
         self.touched = []
         self.kept = []
+        self.exposed = []
         self.tainted = set()
         self.mark = [0] * n
         self.stamp = 0
@@ -326,6 +327,7 @@ class _Search:
         """
         mate, tainted = self.mate, self.tainted
         kept_roots = {r for r in roots if mate[r] == -1 and r not in tainted}
+        self.exposed += kept_roots
         label, parent, p, root, kept = self.label, self.parent, self.p, self.root, self.kept
         for v in self.touched:
             if kept_roots and root[v] in kept_roots:
@@ -359,8 +361,9 @@ def _maximize(adj, mate):
     roots that are still exposed and whose trees :meth:`_Search.reset` did
     not keep.  The pass ends with the first phase that augments nothing, or
     as soon as every exposed vertex, if any, lies in a kept tree.  The
-    returned search then holds the Hungarian forest: the kept trees, and
-    the forest of a last phase that augmented nothing.
+    returned search then holds the Hungarian forest, the kept trees and the
+    forest of a last phase that augmented nothing, with their roots, the
+    exposed vertices, in ``exposed``.
     """
     deg = list(map(len, adj))
     buckets = [[] for _ in range(max(deg, default=0) + 1)]
@@ -379,5 +382,6 @@ def _maximize(adj, mate):
     search = _Search(adj, mate)
     while roots and search.phase(roots):
         roots = search.reset(roots)
+    search.exposed += roots
     return search
 

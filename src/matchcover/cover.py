@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,16 +41,18 @@ def verify_cover(g: Graph, mc: MatchingCover) -> bool:
     """True iff every listed matching is a matching of g and their union
     covers V(g).
 
-    One pass over the cover's edges, O(n + sum of |M_i| log Δ), Δ the
-    largest degree: each pair (u, v) must have 0 <= u < v < n, which rules
-    out self-pairs, reversed pairs and out-of-range ends, and v must be in
-    u's sorted adjacency list, found by binary search; a per-vertex stamp of
-    the last level that covered it rejects two pairs of one level sharing a
-    vertex, and every stamp must be set at the end.  A matching of another
-    vertex count is rejected.  Optimality is not checked here; that is the
-    oracle's job.
+    One pass over the cover's edges: each pair (u, v) must have 0 <= u < v < n,
+    which rules out self-pairs, reversed pairs and out-of-range ends, and be an
+    edge, found by a C-level ``in`` on the shorter adjacency list; a per-vertex
+    stamp of the last level that covered it rejects two pairs of one level
+    sharing a vertex, and every stamp must be set at the end.  With each level
+    a matching, that costs O(n + Σ min(deg u, deg v)) ≤ O(n + k·m), and O(n + m)
+    on ``solve``'s covers: level 1 costs ≤ 2m, and the D*-end or rescued end of
+    each pair above it, whose degree bounds the pair's cost, is in one such pair.
+    A matching of another vertex count is rejected; optimality is the oracle's job.
     """
     n, adjacency = g.n, g.adjacency
+    deg = list(map(len, adjacency))
     level_of = [0] * n
     for level, m in enumerate(mc.matchings, start=1):
         if m.n != n:
@@ -59,9 +60,7 @@ def verify_cover(g: Graph, mc: MatchingCover) -> bool:
         for u, v in m.pairs:
             if not 0 <= u < v < n:
                 return False
-            nbrs = adjacency[u]
-            i = bisect_left(nbrs, v)
-            if i == len(nbrs) or nbrs[i] != v:
+            if v not in adjacency[u] if deg[u] <= deg[v] else u not in adjacency[v]:
                 return False
             if level_of[u] == level or level_of[v] == level:
                 return False

@@ -1,6 +1,6 @@
-"""Gallai-Edmonds decomposition (D, A, C), with C = V - D - A derived when read.  Its
-Tutte-Berge check proves the matching maximum and A a tight barrier, not that A is the
-Gallai-Edmonds set: see ROADMAP.md, "Self-certifying optimality"."""
+"""Gallai-Edmonds decomposition (D, A, C), with C = V - D - A derived when read and
+never walked.  Its Tutte-Berge check proves the matching maximum and A a tight barrier,
+not that A is the Gallai-Edmonds set: see ROADMAP.md, "Self-certifying optimality"."""
 
 from __future__ import annotations
 
@@ -43,15 +43,12 @@ def decompose(g: Graph) -> GallaiEdmonds:
     ``solve``'s final check rejects if it is no matching of g.  Otherwise
     the pass ends holding a Hungarian forest: the trees it kept across
     phases, and the forest of a last phase that augmented nothing.  Its
-    inner vertices are A (Lovász and Plummer, *Matching Theory*, ch. 3).
-    One traversal of G - A reads the rest.  It keeps only the odd
-    components: they are the D-components, and the singletons among them
-    are D*.  The even ones make up C, which is derived when read.  A vertex
-    whose neighbours all lie in A is such a singleton: it goes to D and D*
-    at once, with no component list built.  The traversal also certifies
-    the matching without trusting the search: by the Tutte-Berge formula
-    it is maximum iff it leaves exactly odd(G - A) - |A| vertices exposed.
-    Otherwise :class:`InternalInvariantError` is raised.
+    inner vertices are A and its roots the exposed vertices (Lovász and
+    Plummer, *Matching Theory*, ch. 3).  :func:`_odd_part` reads D and D*
+    off G - A without visiting C, and its count certifies the matching
+    without trusting the search: by the Tutte-Berge formula it is maximum
+    iff it leaves exactly odd(G - A) - |A| vertices exposed.  Otherwise
+    :class:`InternalInvariantError` is raised.
     """
     n, adj = g.n, g.adjacency
     mate = [-1] * n
@@ -60,19 +57,41 @@ def decompose(g: Graph) -> GallaiEdmonds:
         e = frozenset()
         return GallaiEdmonds(e, e, tuple(mate), e)
     a = search.inner()
-    seen = [False] * n
+    d, d_star, odd = _odd_part(adj, mate, a, search.exposed)
+    exposed = mate.count(-1)
+    if exposed != odd - len(a):
+        raise InternalInvariantError(
+            f"Tutte-Berge check fails: {exposed} exposed vertices, {odd} odd"
+            f" components in G - A, |A| = {len(a)}; the matching is not maximum"
+        )
+    return GallaiEdmonds(frozenset(d), frozenset(a), tuple(mate), frozenset(d_star))
+
+
+def _odd_part(adj, mate, a, exposed):
+    """(vertices, one-vertex ones, count) of the odd components of G - a,
+    for a matching M, ``mate``, that leaves ``exposed`` exposed.  M matches
+    an odd component into itself only in part and its other neighbours lie
+    in a, so it holds an exposed vertex or an a-vertex's partner: the walks
+    start there alone, and no even component (C, when a is A) is visited.
+    An exposed a-vertex raises first.  A missed exposed vertex can only
+    lower the count, which then fails the Tutte-Berge check.
+    """
+    seen = [False] * len(adj)
     for v in a:
         seen[v] = True
-    d, d_star = [], []
-    odd = 0
-    for s in range(n):
+    seeds = [mate[v] for v in a]
+    if -1 in seeds:
+        v = a[seeds.index(-1)]
+        raise InternalInvariantError(f"Tutte-Berge check fails: A-vertex {v} is exposed")
+    d, d_star, odd = [], [], 0
+    for s in seeds + exposed:
         if seen[s]:
             continue
         seen[s] = True
         for w in adj[s]:
             if not seen[w]:
                 break
-        else:  # every neighbour is in A: a singleton D-component, in D*
+        else:  # every neighbour is in a: a one-vertex component, in D*
             d_star.append(s)
             continue
         comp = [s]
@@ -84,13 +103,4 @@ def decompose(g: Graph) -> GallaiEdmonds:
         if len(comp) % 2:
             odd += 1
             d += comp
-    odd += len(d_star)
-    exposed = mate.count(-1)
-    if exposed != odd - len(a):
-        raise InternalInvariantError(
-            f"Tutte-Berge check fails: {exposed} exposed vertices, {odd} odd"
-            f" components in G - A, |A| = {len(a)}; the matching is not maximum"
-        )
-    return GallaiEdmonds(
-        frozenset(d + d_star), frozenset(a), tuple(mate), frozenset(d_star)
-    )
+    return d + d_star, d_star, odd + len(d_star)

@@ -52,7 +52,7 @@ class Graph:
 
     The two fields are the whole graph; nothing else is stored or cached.
     Each adjacency list is sorted ascending, so all iteration is
-    reproducible and edge membership is a binary search in one list.
+    reproducible; ``verify_cover`` tests an edge in its shorter end list.
     Parsed and ``from_edges`` graphs share one int object per vertex.
     ``edges`` and ``m`` are derived from the adjacency on each read.
     Instances are immutable and safe to share between threads.

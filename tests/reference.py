@@ -6,7 +6,9 @@ pipeline; the cover number's search, ``brute_mc``, stays in
 ``matchcover.oracle`` for ``matchcover oracle``.  The reference checks
 :func:`verify_decomposition` and :func:`is_factor_critical` run the blossom
 engine on g minus each vertex: independent of the forest that ``decompose``
-reads A from and of its traversal of G - A, not of the engine.
+reads A from and of its walk of G - A, not of the engine.
+:func:`full_traversal` walks every component of G - U from every vertex,
+the reference for ``decompose``'s walk, which starts at few vertices.
 """
 
 from __future__ import annotations
@@ -110,10 +112,13 @@ def neighbor_set(g: Graph, s: Iterable[int]) -> frozenset[int]:
 
 
 def verify_decomposition(g: Graph, ge: GallaiEdmonds) -> bool:
-    """Check the decomposition against the per-vertex definition of D.
+    """Check the decomposition against the per-vertex definition of D, and
+    the matching against the Gallai-Edmonds structure.
 
     Each membership test recomputes a maximum matching of g minus a vertex,
-    independently of how :func:`decompose` reads D and A.
+    independently of how :func:`decompose` reads D and A.  Then A must be
+    N(D) outside D, ``ge.mate`` must match every C-vertex to a C-neighbour,
+    and every A-vertex to a neighbour in D, no two in one D-component.
     """
     nu = len(maximum_matching(g))
     for v in range(g.n):
@@ -124,11 +129,48 @@ def verify_decomposition(g: Graph, ge: GallaiEdmonds) -> bool:
             return False
     if ge.a != neighbor_set(g, ge.d):
         return False
-    if ge.c != frozenset(range(g.n)) - ge.d - ge.a:
+    # the structure the Tutte-Berge walk of decompose never visits: M
+    # matches C inside itself and each A-vertex into its own D-component
+    mate, c = ge.mate, ge.c
+
+    def matched_to(v):
+        w = mate[v]
+        return w if w != -1 and mate[w] == v and w in g.adjacency[v] else None
+
+    if any(matched_to(v) not in c for v in c):
         return False
-    if ge.d & ge.a or ge.d & ge.c or ge.a & ge.c:
-        return False
-    return True
+    sub, old_ids = induced_subgraph(g, sorted(ge.d))
+    component_of = {old_ids[v]: i for i, comp in enumerate(components(sub)) for v in comp}
+    hit = [component_of.get(matched_to(a)) for a in ge.a]
+    return None not in hit and len(set(hit)) == len(hit)
+
+
+def full_traversal(g: Graph, u: Iterable[int]):
+    """(D, C, D*, odd) read off G - u with a component list for every
+    component: odd ones go to D, even ones to C, one-vertex ones to D*, and
+    odd counts the odd ones.  It starts a walk at every vertex outside u."""
+    seen = [False] * g.n
+    for v in u:
+        seen[v] = True
+    d, c, d_star, odd = set(), set(), set(), 0
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        comp = [s]
+        for v in comp:
+            for w in g.adjacency[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+        if len(comp) % 2:
+            d.update(comp)
+            odd += 1
+        else:
+            c.update(comp)
+        if len(comp) == 1:
+            d_star.add(s)
+    return d, c, d_star, odd
 
 
 def is_factor_critical(h: Graph) -> bool:

@@ -403,6 +403,7 @@ def test_pass_ends_once_every_exposed_vertex_is_in_a_kept_tree(monkeypatch):
     assert log == [(4, 1, 10)]
     assert [v for v in range(g.n) if mate[v] == -1] == [6, 9]
     assert {6, 9} <= set(search.kept) and search.touched == []
+    assert sorted(search.exposed) == [6, 9]
     seed_decompose(monkeypatch, [(1, 2)])
     assert decompose(g).d == brute_d_set(g, BUDGET) == set(range(4, 10))
 
@@ -628,3 +629,23 @@ def test_contraction_walk_is_bounded_by_its_cycle(monkeypatch):
         g, seed = triangle_below_path(pairs)
         assert sorted(grow(g, seed).pairs) == sorted(seed)
     assert len(contractions) == 2 and contractions[0] == contractions[1] <= 4
+
+
+def test_search_lists_the_exposed_vertices():
+    """The pass's ``exposed`` holds each vertex that its matching leaves
+    exposed once: the roots of the kept trees and of the last phase's
+    forest, on random graphs of both benchmark kinds and disjoint triangles
+    and stars, whose Hungarian trees the first phase keeps."""
+    graphs = [random_connected_graph(n, p=0.15, seed=s) for n in (5, 20, 60) for s in range(20)]
+    graphs += [random_connected_graph(n, m=n + n // 10, seed=s) for n in (30, 300) for s in range(20)]
+    graphs += [Graph.from_edges(3 * k + 4, [(3 * i + a, 3 * i + b) for i in range(k)
+                                            for a, b in ((0, 1), (0, 2), (1, 2))]
+                                + [(3 * k, 3 * k + j) for j in (1, 2, 3)])
+               for k in (1, 5, 40)]
+    kept = 0
+    for g in graphs:
+        mate = [-1] * g.n
+        search = blossom._maximize(g.adjacency, mate)
+        assert sorted(search.exposed) == [v for v in range(g.n) if mate[v] == -1]
+        kept += bool(search.kept)
+    assert kept >= 3

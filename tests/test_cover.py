@@ -23,6 +23,7 @@ from matchcover.oracle import OracleBudget
 from conftest import (
     balancing_faults,
     complete_bipartite_graph,
+    complete_graph,
     covered_by,
     cycle_graph,
     greedyhard,
@@ -104,6 +105,69 @@ def test_verify_cover_rejects_non_edge():
     assert verify_cover(g, MatchingCover((full, Matching(8, ((0, 4),)))))
     for pair in [(0, 1), (0, 3), (0, 5), (0, 7)]:
         assert not verify_cover(g, MatchingCover((full, Matching(8, (pair,)))))
+
+
+class ProbedList(tuple):
+    """An adjacency tuple that logs each membership test made on it."""
+
+    log = []
+
+    def __contains__(self, x):
+        ProbedList.log.append((tuple(self), x))
+        return super().__contains__(x)
+
+
+def test_verify_cover_tests_each_pair_in_the_shorter_list():
+    """The edge test of a pair (u, v) runs once, on the shorter adjacency
+    list, on either side.  In K_{1,4} (center 0) with the triangle 2-5-6
+    hung on leaf 2, the non-edge (0, 5) has deg u > deg v and the non-edges
+    (1, 2) and (1, 6) deg u < deg v; each is rejected.  The one-pair levels
+    (5, 6) and (0, 2) are edges, rejected only as they leave vertices
+    uncovered.  On a valid three-level cover every pair is tested in its
+    shorter list."""
+    edges = [(0, 1), (0, 2), (0, 3), (0, 4), (2, 5), (2, 6), (5, 6)]
+    plain = Graph.from_edges(7, edges)
+    g = Graph(7, tuple(ProbedList(nbrs) for nbrs in plain.adjacency))
+    full = Matching(7, ((0, 1), (2, 6)))
+    rest = Matching(7, ((0, 3), (2, 5)))
+    four = Matching(7, ((0, 4),))
+    cases = [
+        ((0, 5), False, ((2, 6), 0)),  # deg 0 = 4 > deg 5 = 2: 5's list
+        ((1, 2), False, ((0,), 2)),  # deg 1 = 1 < deg 2 = 3: 1's list
+        ((1, 6), False, ((0,), 6)),  # deg 1 = 1 < deg 6 = 2: 1's list
+        ((5, 6), True, ((2, 6), 6)),  # equal degrees: u's list
+        ((0, 2), True, ((0, 5, 6), 0)),  # deg 0 = 4 > deg 2 = 3: 2's list
+    ]
+    for pair, ok, probe in cases:
+        ProbedList.log.clear()
+        assert verify_cover(g, MatchingCover((Matching(7, (pair,)),))) is False
+        assert ProbedList.log == [probe]
+        assert (pair in plain.edges) is ok
+    # a whole cover: every pair tested once, each in its shorter list
+    ProbedList.log.clear()
+    assert verify_cover(g, MatchingCover((full, rest, four)))
+    assert len(ProbedList.log) == 5
+    for nbrs, x in ProbedList.log:
+        assert len(nbrs) <= len(plain.adjacency[x])
+
+
+def test_verify_cover_accepts_k8_as_seven_perfect_matchings():
+    """K_8 split into 7 perfect matchings (the round-robin 1-factorization)
+    is a valid cover, though not an optimal one (mc = 1); the cover less
+    an edge of one level is still valid, and with one edge swapped for a
+    pair that shares a vertex within its level it is not."""
+    g = complete_graph(8)
+    levels = []
+    for r in range(7):
+        pairs = [(r, 7)] + [((r + i) % 7, (r - i) % 7) for i in (1, 2, 3)]
+        levels.append(Matching(8, tuple(sorted(tuple(sorted(p)) for p in pairs))))
+    assert sorted(p for m in levels for p in m.pairs) == sorted(g.edges)
+    assert verify_cover(g, MatchingCover(tuple(levels)))
+    trimmed = Matching(8, levels[3].pairs[1:])
+    assert verify_cover(g, MatchingCover(tuple(levels[:3] + [trimmed] + levels[4:])))
+    a, b = levels[3].pairs[:2]
+    clash = Matching(8, ((a[0], b[0]),) + levels[3].pairs[1:])
+    assert not verify_cover(g, MatchingCover(tuple(levels[:3] + [clash] + levels[4:])))
 
 
 def test_verify_cover_rejects_self_and_out_of_range_pairs():

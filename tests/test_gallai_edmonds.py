@@ -11,7 +11,8 @@ from matchcover import (
     random_connected_graph,
     solve,
 )
-from matchcover.gallai_edmonds import GallaiEdmonds, decompose
+from matchcover import blossom, gallai_edmonds
+from matchcover.gallai_edmonds import GallaiEdmonds, _odd_part, decompose
 from matchcover.oracle import OracleBudget
 
 from conftest import (
@@ -23,7 +24,13 @@ from conftest import (
     star_graph,
     unmatch_one_pair,
 )
-from reference import brute_d_set, brute_nu, is_factor_critical, verify_decomposition
+from reference import (
+    brute_d_set,
+    brute_nu,
+    full_traversal,
+    is_factor_critical,
+    verify_decomposition,
+)
 
 BUDGET = OracleBudget(max_vertices=12, max_edges=66)
 
@@ -159,6 +166,26 @@ def test_verify_p3_true_and_swapped_false():
     assert not verify_decomposition(g, swapped)
 
 
+def test_verify_checks_the_matching_against_the_structure():
+    """With D and A right, verify_decomposition still rejects a mate list
+    that breaks the Gallai-Edmonds structure.  The triangle 0-1-2 and the
+    leaves 5 and 6 of A = {3, 4} make up D, and the edge 7-8 is C.  The
+    real matching passes; one that matches both A-vertices into the
+    triangle, one that leaves C exposed, and one that matches 3 to its
+    non-neighbour 7 in C do not."""
+    g = Graph.from_edges(9, [(0, 1), (1, 2), (0, 2), (3, 0), (4, 1), (3, 5), (4, 5),
+                             (3, 6), (4, 6), (7, 8)])
+    ge = decompose(g)
+    assert (ge.d, ge.a, ge.c) == ({0, 1, 2, 5, 6}, {3, 4}, {7, 8})
+    assert verify_decomposition(g, ge)
+    for mate in [
+        (3, 4, -1, 0, 1, -1, -1, 8, 7),
+        (2, -1, 0, 5, 6, 3, 4, -1, -1),
+        (2, -1, 0, 7, 6, -1, 4, 3, -1),
+    ]:
+        assert not verify_decomposition(g, dataclasses.replace(ge, mate=mate))
+
+
 def test_verify_c3_full_d():
     g = cycle_graph(3)
     ge = decompose(g)
@@ -227,27 +254,6 @@ def test_dstar_neighbours_lie_in_a():
     assert checked >= 20
 
 
-def component_traversal(g, a):
-    """(D, C, D*) read off G - A with a component list for every
-    component: odd ones go to D, even ones to C, one-vertex ones to D*."""
-    seen = [v in a for v in range(g.n)]
-    d, c, d_star = set(), set(), set()
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        comp = [s]
-        for v in comp:
-            for w in g.adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-        (d if len(comp) % 2 else c).update(comp)
-        if len(comp) == 1:
-            d_star.add(s)
-    return d, c, d_star
-
-
 def pendant_stars(rng):
     """A path of centers, each with 0 to 4 pendant leaves, ids shuffled."""
     spine = rng.randint(1, 12)
@@ -277,6 +283,107 @@ def test_singleton_d_components():
     for g in graphs:
         ge = decompose(g)
         assert ge.d_star == {v for v in ge.d if not ge.d & set(g.adjacency[v])}
-        assert (ge.d, ge.c, ge.d_star) == component_traversal(g, ge.a)
+        assert (ge.d, ge.c, ge.d_star) == full_traversal(g, ge.a)[:3]
         singletons += len(ge.d_star)
     assert singletons > 10000
+
+
+def expose_in_a(patch, pick):
+    """Make ``decompose``'s search name one more A-vertex: ``pick(exposed)``,
+    one of the vertices its matching leaves exposed.  ``patch`` is a pytest
+    monkeypatch; the vertex picked on each call is appended to the list
+    returned."""
+    maximize, picked = blossom._maximize, []
+
+    class Faulty:
+        def __init__(self, search):
+            self.search = search
+            self.exposed = search.exposed
+
+        def inner(self):
+            picked.append(pick(self.exposed))
+            return self.search.inner() + picked[-1:]
+
+    patch.setattr(gallai_edmonds, "_maximize", lambda adj, mate: Faulty(maximize(adj, mate)))
+    return picked
+
+
+def test_exposed_a_vertex_is_rejected_before_the_walk(monkeypatch):
+    """An A-vertex that the search leaves exposed has the partner -1, which
+    as a start would walk vertex n - 1's component under the id -1.
+    decompose names the vertex before any walk and returns no D at all,
+    whether the highest or the lowest exposed vertex is picked."""
+    graphs = [path_graph(3), star_graph(3), Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])]
+    graphs += [random_connected_graph(n, m=n + n // 100, seed=s) for s, n in
+               enumerate((50, 101, 300))]
+    faults = 0
+    for g in graphs:
+        for pick in (max, min):
+            with monkeypatch.context() as patch:
+                picked = expose_in_a(patch, pick)
+                with pytest.raises(InternalInvariantError) as info:
+                    decompose(g)
+            assert f"A-vertex {picked[0]} is exposed" in str(info.value)
+            faults += 1
+    assert faults == 12
+
+
+def greedy_mate(g, rng):
+    """A maximal, usually not maximum, matching of g as a mate list: the
+    edges in random order, each taken if both ends are still exposed."""
+    mate = [-1] * g.n
+    edges = list(g.edges)
+    rng.shuffle(edges)
+    for u, v in edges:
+        if mate[u] == mate[v] == -1:
+            mate[u], mate[v] = v, u
+    return mate
+
+
+def union(*graphs):
+    """The disjoint union of graphs, ids shifted in the order given."""
+    edges, n = [], 0
+    for h in graphs:
+        edges += [(u + n, v + n) for u, v in h.edges]
+        n += h.n
+    return Graph.from_edges(n, edges)
+
+
+def test_odd_part_equals_a_full_traversal():
+    """The walk from the exposed vertices and the partners of U finds the
+    odd components of G - U that a walk from every vertex finds, for any
+    matching that covers U: random graphs, connected or with even
+    components beside odd ones, greedy and maximum matchings, and random
+    sets U of covered vertices as well as the real A.  An exposed U-vertex
+    raises instead."""
+    rng = random.Random(34)
+    graphs = [random_connected_graph(n, p=0.3, seed=s) for s, n in
+              enumerate(rng.randrange(2, 30) for _ in range(60))]
+    graphs += [
+        union(*(random_connected_graph(rng.randrange(2, 9), p=0.4, seed=rng.randrange(10**6))
+                for _ in range(rng.randrange(2, 7))))
+        for _ in range(60)
+    ]
+    graphs += [union(path_graph(4), star_graph(3), cycle_graph(6), path_graph(2))]
+    checked = even = rejected = 0
+    for g in graphs:
+        maximum = [-1] * g.n
+        search = blossom._maximize(g.adjacency, maximum)
+        for mate in (maximum, greedy_mate(g, rng)):
+            exposed = [v for v in range(g.n) if mate[v] == -1]
+            covered = [v for v in range(g.n) if mate[v] != -1]
+            sets = [rng.sample(covered, rng.randint(0, len(covered))) for _ in range(4)]
+            if mate is maximum:
+                sets.append(search.inner())
+            for u in sets:
+                d, c, d_star, odd = full_traversal(g, u)
+                got_d, got_d_star, got_odd = _odd_part(g.adjacency, mate, u, exposed)
+                assert (set(got_d), set(got_d_star), got_odd) == (d, d_star, odd)
+                assert len(got_d) == len(d) and len(got_d_star) == len(d_star)
+                checked += 1
+                even += bool(c)
+            if exposed:
+                with pytest.raises(InternalInvariantError, match="is exposed"):
+                    _odd_part(g.adjacency, mate, covered[:1] + exposed[:1], exposed)
+                rejected += 1
+    assert checked >= 1000 and even >= 300 and rejected >= 100
