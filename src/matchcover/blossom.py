@@ -363,7 +363,9 @@ def _maximize(adj, mate):
     as soon as every exposed vertex, if any, lies in a kept tree.  The
     returned search then holds the Hungarian forest, the kept trees and the
     forest of a last phase that augmented nothing, with their roots, the
-    exposed vertices, in ``exposed``.
+    exposed vertices, in ``exposed``.  A phase that matches all its roots
+    while no tree is kept completes a perfect matching; the pass returns
+    its search un-reset then, and nothing reads it.
     """
     deg = list(map(len, adj))
     buckets = [[] for _ in range(max(deg, default=0) + 1)]
@@ -380,7 +382,9 @@ def _maximize(adj, mate):
                 mate[best] = u
     roots = [v for v, w in enumerate(mate) if w == -1]
     search = _Search(adj, mate)
-    while roots and search.phase(roots):
+    while roots and (augmented := search.phase(roots)):
+        if 2 * augmented == len(roots) and not search.exposed:
+            return search  # perfect: no reset, as nothing reads the forest
         roots = search.reset(roots)
     search.exposed += roots
     return search

@@ -40,7 +40,8 @@ def decompose(g: Graph) -> GallaiEdmonds:
 
     One blossom pass grows the matching.  A perfect one ends the work:
     D = A = D* = ∅, so C = V, and its mate list is the whole cover, which
-    ``solve``'s final check rejects if it is no matching of g.  Otherwise
+    ``solve``'s final check rejects if it is no matching of g; the pass
+    leaves its search un-reset, and it is not read.  Otherwise
     the pass ends holding a Hungarian forest: the trees it kept across
     phases, and the forest of a last phase that augmented nothing.  Its
     inner vertices are A and its roots the exposed vertices (Lovász and

@@ -117,12 +117,14 @@ class Graph:
 
 
 # The layout serialize_graph writes: a header line, then `e <u> <v>` lines,
-# single spaces, `\n` endings, at most one final newline (stripped first).
+# single spaces, `\n` endings, at most one final newline (left unread).
 # _NOT_EDGE finds a newline not followed by an edge line: one lookahead per
 # line keeps the matcher's state small, where one greedy repeat over all the
-# lines would hold O(m) of it.
+# lines would hold O(m) of it.  Past that check every `e` and `\n` opens an
+# edge line, so _TO_JSON deletes them and turns each space into a comma.
 _HEADER = re.compile(r"p ([0-9]+) ([0-9]+)(?:\n|\Z)")
 _NOT_EDGE = re.compile(r"\n(?!e [0-9]+ [0-9]+(?:\n|\Z))")
+_TO_JSON = str.maketrans(" ", ",", "e\n")
 
 
 @_gc_paused
@@ -146,20 +148,17 @@ def _parse_canonical(text: str) -> Graph | None:
     """The graph of a valid canonical-layout text with n <= 2m, its JSON ends
     passed 1-indexed to the builder; None to read it line by line (another
     layout, a failed check, or a header with n > 2m, which isolates a vertex)."""
-    if text.endswith("\n"):
-        text = text[:-1]
-    header = _HEADER.match(text)
-    if header is None or _NOT_EDGE.search(text):
+    end = len(text) - text.endswith("\n")
+    header = _HEADER.match(text, 0, end)
+    if header is None or _NOT_EDGE.search(text, 0, end):
         return None
     try:
         n, m = int(header[1]), int(header[2])
-        # every endpoint in one C-level pass, the edge text after the first
-        # "e " read as a JSON array: "1 2\ne 3 4" -> [1, 2, 3, 4]; json raises
-        # on a leading zero, which the line reader accepts, and, like int,
-        # on a digit string beyond int's length limit
-        ends = json.loads(
-            "[" + text[header.end() + 2 :].replace("\ne ", ",").replace(" ", ",") + "]"
-        )
+        # every endpoint in one C-level translate pass, the edge text after
+        # the first "e " read as a JSON array: "1 2\ne 3 4" -> "1,2,3,4" ->
+        # [1, 2, 3, 4]; json raises on a leading zero, which the line reader
+        # accepts, and, like int, on a digit string beyond int's length limit
+        ends = json.loads("[" + text[header.end() + 2 : end].translate(_TO_JSON) + "]")
     except ValueError:
         return None
     if not 0 < n <= 2 * m == len(ends):

@@ -21,7 +21,13 @@ from conftest import (
     petersen_graph,
     star_graph,
 )
-from reference import brute_d_set, brute_nu, is_factor_critical, maximum_matching
+from reference import (
+    brute_d_set,
+    brute_nu,
+    is_factor_critical,
+    maximum_matching,
+    neighbor_set,
+)
 
 BUDGET = OracleBudget(max_vertices=12, max_edges=66)
 
@@ -476,8 +482,9 @@ def test_kept_trees_match_regrowing_every_tree(monkeypatch):
 
 
 def rebuilt(method, old, new):
-    """``method`` of ``blossom._Search`` rebuilt from its source with the
-    one occurrence of ``old`` replaced by ``new``."""
+    """``method`` of ``blossom._Search``, or a function of ``blossom``,
+    rebuilt from its source with the one occurrence of ``old`` replaced by
+    ``new``."""
     source = textwrap.dedent(inspect.getsource(method))
     assert source.count(old) == 1
     namespace = {}
@@ -511,6 +518,73 @@ def test_one_root_phase_matches_general_loop(monkeypatch):
         runs.append(run)
     assert runs[0] == runs[1]
     assert sum(any(roots == 1 for roots, _, _ in r[-1]) for r in runs[0]) >= 400
+
+
+def counting_resets(monkeypatch):
+    """Patch in a search engine that logs each reset's number of roots."""
+    log = []
+
+    class Counting(blossom._Search):
+        __slots__ = ()
+
+        def reset(self, roots):
+            log.append(len(roots))
+            return super().reset(roots)
+
+    monkeypatch.setattr(blossom, "_Search", Counting)
+    return log
+
+
+def test_perfect_pass_returns_its_search_unreset(monkeypatch):
+    """On these m = 3n random graphs every phase augments and the last one
+    completes a perfect matching; the pass returns without resetting that
+    phase's forest, one reset fewer than its phases.  A pass that resets
+    after every augmenting phase runs the same phases, and decompose and
+    solve give the same results with it."""
+    resets, phases = counting_resets(monkeypatch), counting_phases(monkeypatch)
+    graphs = [random_connected_graph(1000, m=3000, seed=s) for s in range(5)]
+    runs = []
+    for g in graphs:
+        resets.clear()
+        phases.clear()
+        ge = decompose(g)
+        assert -1 not in ge.mate
+        assert len(resets) == len(phases) - 1 >= 0
+        runs.append((list(phases), ge, solve(g)))
+    always_resetting = rebuilt(
+        blossom._maximize, "2 * augmented == len(roots) and not search.exposed", "False"
+    )
+    monkeypatch.setattr(gallai_edmonds, "_maximize", always_resetting)
+    for g, (was_phases, ge, res) in zip(graphs, runs):
+        resets.clear()
+        phases.clear()
+        want = decompose(g)
+        assert phases == was_phases and len(resets) == len(phases)
+        assert (ge.d, ge.a, ge.mate, ge.d_star) == (want.d, want.a, want.mate, want.d_star)
+        assert res == solve(g)
+
+
+def test_pass_resets_a_phase_that_matches_its_roots_beside_a_kept_tree(monkeypatch):
+    """P4 0-1-2-3 seeded with 1-2, the path 4-6-7-5 seeded with 6-7 and
+    hung from 0 at 6, and the triangle 8-9-10 (the greedy seed pairs 8-9).
+    The first phase augments along 0-1-2-3 and labels 6 and 7 from 0, so
+    the trees of 4 and 5 are tainted, and keeps the triangle's tree from
+    10.  The second phase matches both of its roots along 4-6-7-5, but 10
+    stays exposed: the pass still resets that phase, so 6 is no inner
+    vertex of the forest, and inner() is the reference A = {}."""
+    g = Graph.from_edges(11, [(0, 1), (1, 2), (2, 3), (0, 6), (4, 6), (6, 7),
+                              (5, 7), (8, 9), (8, 10), (9, 10)])
+    resets, log = counting_resets(monkeypatch), counting_phases(monkeypatch)
+    mate = [-1] * g.n
+    mate[1], mate[2], mate[6], mate[7] = 2, 1, 7, 6
+    search = blossom._maximize(g.adjacency, mate)
+    assert [(roots, aug) for roots, aug, _ in log] == [(5, 1), (2, 1)]
+    assert [v for v in range(g.n) if mate[v] == -1] == search.exposed == [10]
+    assert resets == [5, 2] and search.touched == []
+    d = brute_d_set(g, BUDGET)
+    assert search.inner() == sorted(neighbor_set(g, d) - d) == []
+    seed_decompose(monkeypatch, [(1, 2), (6, 7)])
+    assert decompose(g).a == set()
 
 
 def fault_graph():

@@ -305,6 +305,19 @@ def test_bulk_reader_passes_leading_zeros_and_long_digits_on():
     assert parse_graph("p 3 2\ne 01 2\ne 2 3") == path_graph(3)
 
 
+def test_layout_check_keeps_e_and_newline_at_line_starts():
+    """The bulk reader deletes every `e` and `\\n` and reads each space as a
+    comma, which is safe only because its layout check puts them at the
+    start of edge lines.  A stray `e`, an `e` that opens no line, a blank
+    line and two final newlines are each declined and sent on to the line
+    reader; one final newline is read in bulk."""
+    for text in ("p 3 1\ne 1e1 2", "p 3 2\ne 1 2e 2 3", "p 3 2\ne 1 2\n\ne 2 3",
+                 "p 3 2\ne 1 2\ne 2 3\n\n"):
+        assert _parse_canonical(text) is None, text
+        assert _outcome(parse_graph, text) == _outcome(_lines_graph, text)
+    assert _parse_canonical("p 3 2\ne 1 2\ne 2 3\n") == path_graph(3)
+
+
 def test_edgeless_header_is_read_line_by_line():
     """An edgeless header has n > 2m: the bulk reader declines it, and the
     line reader gives n and no edge ends."""
