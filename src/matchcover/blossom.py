@@ -36,10 +36,9 @@ _INNER = 2
 class Matching:
     """Pairwise vertex-disjoint edges of a graph on vertices 0..n-1.
 
-    ``pairs`` lists the edges as ascending (u, v) pairs with u < v, as the
-    blossom engine and assembly build them.  The constructor checks
-    nothing; :func:`~matchcover.cover.verify_cover` checks a whole cover
-    against its graph.  ``len`` is O(1).
+    ``pairs`` lists the edges as ascending (u, v) pairs with u < v.  The
+    constructor checks nothing; :func:`~matchcover.cover.verify_cover`
+    checks a whole cover against its graph.  ``len`` is O(1).
     """
 
     n: int

@@ -14,7 +14,7 @@ import sys
 from .cover import solve, verify_cover
 from .errors import InternalInvariantError, NoCoverError
 from .generate import random_connected_graph
-from .graph import Graph, GraphFormatError, _parse_canonical, _parse_lines, serialize_graph
+from .graph import GraphFormatError, parse_graph, serialize_graph
 from .oracle import OracleBudget, OracleBudgetError, brute_mc
 
 EXIT_OK = 0
@@ -36,22 +36,14 @@ def _load_graph(path: str):
     except UnicodeDecodeError as exc:
         print(f"error: {path}: not UTF-8 text: {exc}", file=sys.stderr)
         return None, EXIT_USAGE
-    g = _parse_canonical(text)
-    if g is not None:
-        return g, EXIT_OK
     try:
-        n, ends = _parse_lines(text)
+        return parse_graph(text), EXIT_OK
     except GraphFormatError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return None, EXIT_USAGE
-    if n > len(ends):
-        # some vertex is on no edge: say which before building n adjacency
-        # lists (the bulk reader takes no such header)
-        covered = set(ends)
-        v = next(v for v in range(n) if v + 1 not in covered)
-        print(f"error: {NoCoverError.isolated(v)}", file=sys.stderr)
+    except NoCoverError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return None, EXIT_NO_COVER
-    return Graph._from_ends(n, ends), EXIT_OK
 
 
 def _internal_error(exc: Exception) -> int:

@@ -34,7 +34,6 @@ class SolveResult:
     branch: str
     md: int | None
     transforms: int
-    gstar_size: int | None
 
 
 def verify_cover(g: Graph, mc: MatchingCover) -> bool:
@@ -101,7 +100,6 @@ def solve(
         branch="gstar" if ge.a else "factor_critical" if ge.d else "perfect",
         md=max_load(stars) if ge.a else None,
         transforms=transforms,
-        gstar_size=len(ge.a) + len(ge.d_star) if ge.a else None,
     )
 
 

@@ -9,6 +9,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
+from .errors import NoCoverError
+
 
 def _gc_paused(fn):
     """Run ``fn`` with automatic garbage collection paused, if it is on.
@@ -81,7 +83,6 @@ class Graph:
         return cls._from_ends(n, ends)
 
     @classmethod
-    @_gc_paused
     def _from_ends(cls, n: int, ends: list[int]) -> "Graph | None":
         """The graph with 1-indexed edges ends[0]-ends[1], ends[2]-ends[3],
         ...; None when an end is outside 1..n, an edge is a self-loop or two
@@ -139,9 +140,19 @@ def parse_graph(text: str) -> Graph:
     newline-terminated) with n <= 2m is read in bulk; any other text, and
     any text that fails a check, is read line by line, which accepts the
     same inputs, builds the same graph and names the offending line.
+
+    Format errors come first: the line reader checks every line.  Then a
+    header with n > 2m raises :class:`NoCoverError` for the lowest vertex on
+    no edge, before anything of size n is built.  Then the graph is built.
     """
     g = _parse_canonical(text)
-    return Graph._from_ends(*_parse_lines(text)) if g is None else g
+    if g is not None:
+        return g
+    n, ends = _parse_lines(text)
+    if n > len(ends):
+        covered = set(ends)
+        raise NoCoverError.isolated(next(v for v in range(n) if v + 1 not in covered))
+    return Graph._from_ends(n, ends)
 
 
 def _parse_canonical(text: str) -> Graph | None:
@@ -166,7 +177,6 @@ def _parse_canonical(text: str) -> Graph | None:
     return Graph._from_ends(n, ends)
 
 
-@_gc_paused
 def _parse_lines(text: str) -> tuple[int, list[int]]:
     """Line-by-line reader for every accepted layout; names the bad line.
     Gives n and the checked 1-indexed ends, two per edge, in line order."""

@@ -142,8 +142,9 @@ def test_criterion_4_decomposition_certification(corpus):
 def test_criterion_5_termination_bound(corpus):
     ok = True
     for inst in corpus:
-        if inst.result.gstar_size is not None:
-            ok = ok and inst.result.transforms <= inst.result.gstar_size
+        ge = inst.decomposition
+        if ge.a:
+            ok = ok and inst.result.transforms <= len(ge.a) + len(ge.d_star)
         else:
             ok = ok and inst.result.transforms == 0
     verdict(5, "switching-path transform bound", ok)

@@ -55,7 +55,8 @@ def test_star_three_leaves():
     res = solve(g)
     assert res.cover.k == 3
     assert res.branch == "gstar"
-    assert res.gstar_size == 4  # |A| + |D*| = 1 + 3
+    ge = decompose(g)
+    assert len(ge.a) + len(ge.d_star) == 4  # |A| + |D*| = 1 + 3
     edge_sets = [set(m.pairs) for m in res.cover.matchings]
     assert edge_sets == [{(0, 1)}, {(0, 2)}, {(0, 3)}]
 
@@ -66,7 +67,8 @@ def test_p3():
     assert res.cover.k == 2
     assert [set(m.pairs) for m in res.cover.matchings] == [{(0, 1)}, {(1, 2)}]
     assert res.md == 2
-    assert res.gstar_size == 3  # A = {1}, D* = {0, 2}
+    ge = decompose(g)
+    assert (ge.a, ge.d_star) == ({1}, {0, 2})
 
 
 def test_verify_cover_examples():
@@ -302,7 +304,15 @@ def test_branch_facts_consistent():
         else:
             assert res.branch == "gstar"
             assert res.cover.k == max(2, res.md)
-            assert res.transforms <= res.gstar_size
+            assert res.transforms <= len(ge.a) + len(ge.d_star)
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_greedyhard_balances_to_three(k):
+    """greedyhard(k) has mc = 3, but its least-loaded seed stacks k jobs on
+    one machine, so only balancing that runs phase after phase reaches 3:
+    one that stops after its first phase leaves k + 1."""
+    assert solve(greedyhard(k)).cover.k == 3
 
 
 def test_level_one_is_maximum_matching():

@@ -5,6 +5,7 @@ import pytest
 from matchcover import (
     Graph,
     GraphFormatError,
+    NoCoverError,
     components,
     induced_subgraph,
     parse_graph,
@@ -180,16 +181,24 @@ def test_parse_serialize_round_trip_random():
 
 
 def _lines_graph(text):
-    """The graph built from the line reader's edge ends."""
-    return Graph._from_ends(*_parse_lines(text))
+    """The graph built from the line reader's edge ends; NoCoverError for
+    its lowest isolated vertex when the header declares n > 2m."""
+    n, ends = _parse_lines(text)
+    g = Graph._from_ends(n, ends)
+    if n > len(ends):
+        raise NoCoverError.isolated(g.adjacency.index(()))
+    return g
 
 
 def _outcome(parse, text):
-    """The parsed graph, or the error's (message, line) pair."""
+    """The parsed graph, or the error's (message, line) pair; a
+    NoCoverError has no line."""
     try:
         return parse(text)
     except GraphFormatError as exc:
         return str(exc), exc.line
+    except NoCoverError as exc:
+        return str(exc), None
 
 
 def _canonical_texts(rng):
@@ -265,10 +274,11 @@ def test_bulk_parse_agrees_with_line_reader():
     errors = []
     for text in _canonical_texts(rng):
         # canonical text with n <= 2m is read in bulk, not handed to the line
-        # reader; the edgeless "p 3 0" is not
+        # reader; the edgeless "p 3 0" is not, and isolates vertex 0
         parsed = _parse_canonical(text)
         if text == "p 3 0":
             assert parsed is None
+            assert _outcome(parse_graph, text) == (str(NoCoverError.isolated(0)), None)
         else:
             assert parsed == _lines_graph(text)
         for variant in _mutations(text, rng):
@@ -319,12 +329,50 @@ def test_layout_check_keeps_e_and_newline_at_line_starts():
 
 
 def test_edgeless_header_is_read_line_by_line():
-    """An edgeless header has n > 2m: the bulk reader declines it, and the
-    line reader gives n and no edge ends."""
+    """An edgeless header has n > 2m: the bulk reader declines it, the line
+    reader gives n and no edge ends, and parse_graph names vertex 0."""
     for text in ("p 3 0", "p 3 0\n"):
         assert _parse_canonical(text) is None
         assert _parse_lines(text) == (3, [])
-        assert parse_graph(text) == Graph.from_edges(3, [])
+        with pytest.raises(NoCoverError, match="^vertex 0 is isolated"):
+            parse_graph(text)
+
+
+@pytest.fixture
+def unbuilt_beyond_2m(monkeypatch):
+    """Graph._from_ends fails an assertion when asked for n > 2m."""
+    real = Graph._from_ends
+
+    def guarded(n, ends):
+        assert n <= len(ends), "graph built for a header beyond 2m"
+        return real(n, ends)
+
+    monkeypatch.setattr(Graph, "_from_ends", guarded)
+
+
+@pytest.mark.parametrize(
+    "text, v",
+    [
+        ("p 1000000000 0\n", 0),
+        ("p 5 2\ne 1 2\ne 3 4\n", 4),
+        ("c x\np 5 2\ne 4 5\ne 1 3\n", 1),
+    ],
+    ids=["edgeless", "last_vertex", "commented"],
+)
+def test_header_beyond_twice_the_edges_names_an_isolated_vertex(unbuilt_beyond_2m, text, v):
+    """A header with n > 2m leaves some vertex on no edge: parse_graph
+    raises NoCoverError for the lowest one without building the graph, so
+    the header alone allocates nothing of size n."""
+    with pytest.raises(NoCoverError) as info:
+        parse_graph(text)
+    assert str(info.value) == f"vertex {v} is isolated: no matching cover exists"
+
+
+def test_format_error_wins_over_header_guard(unbuilt_beyond_2m):
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph("p 1000000000 1\ne 1 1")
+    assert info.value.line == 2
+    assert str(info.value) == "line 2: self-loop at vertex 1"
 
 
 def test_graph_is_its_two_fields():

@@ -1,6 +1,7 @@
 """Every name a matchcover module imports is used there or re-exported,
-every public definition is used in the package or exported, and every
-exported name is used in the package or by the benchmark.
+every public definition is used in the package or exported, every
+exported name is used in the package or by the benchmark, and every
+dataclass field is read in the package or by the benchmark.
 
 A dead import outlives the code that needed it, and a public member that
 only tests read is API nobody calls; these checks read each module's and
@@ -175,3 +176,33 @@ def test_every_export_has_a_caller():
     }
     uncalled = sorted(exported_names(trees["__init__"]) - read - benchmark)
     assert not uncalled, f"exported but read neither in src/ nor by solvebench/: {uncalled}"
+
+
+def is_dataclass(node):
+    """True for a class decorated with ``dataclass`` or ``dataclass(...)``."""
+    names = [dec.func if isinstance(dec, ast.Call) else dec for dec in node.decorator_list]
+    return any(isinstance(name, ast.Name) and name.id == "dataclass" for name in names)
+
+
+def test_every_dataclass_field_is_read():
+    """A field of a package dataclass is read as an attribute in a package
+    module or in the benchmark; one that only tests read is a run fact
+    nobody reports."""
+    trees = [ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in MODULES]
+    read = {
+        node.attr
+        for tree in [*trees, *(ast.parse(p.read_text(encoding="utf-8")) for p in BENCHMARK)]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    fields = [
+        (f"{path.stem}.{node.name}.{item.target.id}", item.target.id)
+        for path, tree in zip(MODULES, trees)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and is_dataclass(node)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+    assert len(fields) >= 10
+    unread = [qualified for qualified, name in fields if name not in read]
+    assert not unread, f"dataclass fields read neither in src/ nor by solvebench/: {unread}"

@@ -22,6 +22,7 @@ import sys
 from pathlib import Path
 
 from matchcover import Graph, random_connected_graph, solve
+from matchcover.gallai_edmonds import decompose
 
 DIGESTS = Path(__file__).with_name("output_digests.json")
 
@@ -71,12 +72,13 @@ def digest(g):
     """sha256 of the solve's output on g, traced paths included."""
     paths = []
     res = solve(g, trace=lambda path, delta: paths.append([list(path.vertices), delta]))
+    ge = decompose(g)
     record = [
         res.cover.k,
         res.branch,
         res.md,
         res.transforms,
-        res.gstar_size,
+        len(ge.a) + len(ge.d_star) if ge.a else None,
         [[list(e) for e in m.pairs] for m in res.cover.matchings],
         paths,
     ]
